@@ -18,22 +18,21 @@ from .sampler import (
     IcrtSample,
     StopRule,
     ThetaSpec,
+    _draw,
     assemble_sample,
     expected_mass_prefix,
-    sample_angles,
     sample_atoms,
-    sample_cuts,
-    sample_glue,
 )
 from .plane import (
     LoopPoint,
     Order,
+    _segment_atoms,
     compare,
     left_fraction,
     left_mass,
     sample_loop_point,
 )
-from .loopmetric import loop_distance, torus_distance
+from .loopmetric import loop_distance
 from .util import keyed_generator, substream
 
 
@@ -86,24 +85,15 @@ def _child_seeds(seed: int, block: int, n: int) -> list:
 
 
 def _sample_with(spec, seed, stop, corrupt=None) -> IcrtSample:
-    """Sampling pipeline with optional documented corruptions (negative
+    """`sample_icrt` with optional documented corruptions (negative
     controls): glue_root pins every glue to the root, glue_biased pushes
     glues toward the cut, angles_const freezes all angles at 0.9."""
-    measure = sample_atoms(spec, substream(seed, "atoms"))
-    cuts = sample_cuts(measure, substream(seed, "cuts"), stop)
-    if stop.max_level is not None:
-        level = stop.max_level
-        glue_cuts = cuts
-    else:
-        level = float(cuts[-1])
-        glue_cuts = cuts[:-1]
-    glues = sample_glue(measure, glue_cuts, substream(seed, "glues"))
+    measure, cuts, glue_cuts, glues, angles, level = _draw(spec, seed, stop)
     if corrupt == "glue_root":
         glues = np.zeros_like(glues)
     elif corrupt == "glue_biased":
         glues = 0.9 * np.asarray(glue_cuts)
-    angles = sample_angles(measure, glue_cuts, glues, substream(seed, "angles"))
-    if corrupt == "angles_const":
+    elif corrupt == "angles_const":
         angles = AngleTable(
             np.full(measure.xs.size, 0.9), np.full(len(glues), 0.9)
         )
@@ -151,7 +141,8 @@ def theoretical_dims(spec, l_grid) -> DimensionReport:
 class LoopCloud:
     """Point cloud with a path-profile representation: pairwise looptree
     distances reduce to a common-prefix scan, vectorized over the cloud with
-    padded chain and atom-key matrices."""
+    padded chain and atom-key matrices.  `dist_to_all` is the cloud's only
+    distance path; `loop_distance` is the scalar walk it is tested against."""
 
     def __init__(self, sample: IcrtSample, l: float, points):
         self.sample = sample
@@ -160,144 +151,64 @@ class LoopCloud:
         sk = sample.skeleton
         self.theta0_sq = sample.measure.theta0_sq
         self.depth = np.asarray([sk.depth(p.pos) for p in self.points])
-        self._chains = []
-        self._alev, self._apos, self._aang, self._aidx, self._acum = (
-            [],
-            [],
-            [],
-            [],
-            [],
-        )
-        for p in self.points:
-            chain, atoms = self._profile(p)
-            self._chains.append(chain)
-            lev = np.asarray([a[0] for a in atoms], dtype=int)
-            pos = np.asarray([a[1] for a in atoms])
-            ang = np.asarray([a[2] for a in atoms])
-            idx = np.asarray([a[3] for a in atoms], dtype=int)
-            contrib = np.asarray(
-                [sample.measure.ws[a[3]] * torus_distance(a[2], 0.0) for a in atoms]
-            )
-            self._alev.append(lev)
-            self._apos.append(pos)
-            self._aang.append(ang)
-            self._aidx.append(idx)
-            self._acum.append(np.concatenate([[0.0], np.cumsum(contrib)]))
-        self._build_matrices()
+        self._build_matrices([self._profile(p) for p in self.points])
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def _build_matrices(self):
+    def _build_matrices(self, profiles):
         n = len(self.points)
-        d = max(len(c) for c in self._chains)
-        a = max((v.size for v in self._apos), default=0)
+        d = max(branches.size for branches, _, _ in profiles)
+        a = max(atoms.shape[0] for _, _, atoms in profiles)
         self._C = np.full((n, d), -1, dtype=np.int64)
         self._E = np.full((n, d), np.inf)
-        for k, chain in enumerate(self._chains):
-            self._C[k, : len(chain)] = [b for b, _ in chain]
-            self._E[k, : len(chain)] = [e for _, e in chain]
         # composite sort key: chain level major, position minor
         self._key_base = 2.0 * self.sample.skeleton.total_length + 1.0
         self._AK = np.full((n, a + 1), np.inf)
         self._AA = np.zeros((n, a + 1))
         self._AI = np.zeros((n, a + 1), dtype=np.int64)
         self._AC = np.zeros((n, a + 2))
-        for k in range(n):
-            m = self._alev[k].size
-            if m:
-                self._AK[k, :m] = self._alev[k] * self._key_base + self._apos[k]
-                self._AA[k, :m] = self._aang[k]
-                self._AI[k, :m] = self._aidx[k]
-            self._AC[k, 1 : self._acum[k].size] = self._acum[k][1:]
-            self._AC[k, self._acum[k].size :] = self._acum[k][-1]
-        self._atot = np.asarray([c[-1] for c in self._acum])
+        self._atot = np.zeros(n)
+        ws = self.sample.measure.ws
+        for k, (branches, exits, atoms) in enumerate(profiles):
+            self._C[k, : branches.size] = branches
+            self._E[k, : branches.size] = exits
+            lev, idx, ang, pos = atoms.T
+            idx = idx.astype(np.int64)
+            m = idx.size
+            self._AK[k, :m] = lev * self._key_base + pos
+            self._AA[k, :m] = ang
+            self._AI[k, :m] = idx
+            # weighted torus distances of the angles to 0
+            cum = np.cumsum(ws[idx] * np.minimum(ang, 1.0 - ang))
+            self._atot[k] = cum[-1] if m else 0.0
+            self._AC[k, 1 : m + 1] = cum
+            self._AC[k, m + 1 :] = self._atot[k]
         sk = self.sample.skeleton
         self._attach = np.asarray(sk.attach_depth)
         self._lo = np.asarray(sk.lo)
 
     def _profile(self, p: LoopPoint):
-        """Root-first chain [(branch, exit position)] and atom records
-        [(chain level, position, angle toward p, atom index)]."""
+        """Root-first chain of branches and their exit positions, and the
+        atom records (chain level, atom index, angle toward p, position) as
+        rows of a float array."""
         sample, sk = self.sample, self.sample.skeleton
-        rev = []
-        b, cur, tau = sk.branch_of(p.pos), p.pos, p.angle
-        atoms_rev = []
-        while True:
-            rev.append((b, cur))
-            seg_atoms = []
-            pos = sample.branch_atoms_pos[b]
-            if pos.size:
-                i0 = int(np.searchsorted(pos, float(sk.lo[b]), side="right"))
-                i1 = int(np.searchsorted(pos, cur, side="left"))
-                for k in range(i0, i1):
-                    i = int(sample.branch_atoms_idx[b][k])
-                    seg_atoms.append(
-                        (float(pos[k]), float(sample.angles.atom_angles[i]), i)
-                    )
-            i = sample.atom_at(cur)
-            if i is not None:
-                seg_atoms.append((cur, tau, i))
-            atoms_rev.append(seg_atoms)
-            if b == 0:
-                break
-            tau = sample.branch_angle(b)
-            cur = float(sk.glue_pos[b])
-            b = int(sk.parent[b])
-        chain = rev[::-1]
-        atoms = []
-        for lvl, seg in enumerate(atoms_rev[::-1]):
-            for x, u, i in seg:
-                atoms.append((lvl, x, u, i))
-        return chain, atoms
+        segs = [
+            (b, top, p.angle if child < 0 else sample.branch_angle(child))
+            for b, top, child in sk.ascend(p.pos)
+        ][::-1]
+        atoms = [
+            (lvl, i, u, x)
+            for lvl, (b, top, tau) in enumerate(segs)
+            for i, u, x in _segment_atoms(sample, b, float(sk.lo[b]), top, tau)
+        ]
+        return (
+            np.asarray([b for b, _, _ in segs]),
+            np.asarray([top for _, top, _ in segs]),
+            np.asarray(atoms, dtype=float).reshape(-1, 4),
+        )
 
     # ------------------------------------------------------------------
-    def _meet(self, a: int, b: int):
-        ca, cb = self._chains[a], self._chains[b]
-        j = 0
-        while True:
-            ba, ea = ca[j]
-            bb, eb = cb[j]
-            last_a = j == len(ca) - 1
-            last_b = j == len(cb) - 1
-            if ea != eb or last_a or last_b:
-                return j, min(ea, eb)
-            if ca[j + 1][0] != cb[j + 1][0]:
-                return j, ea
-            j += 1
-
-    def _atom_split(self, k: int, level: int, meet: float):
-        """(prefix count strictly below the meet, angle of the meet atom or
-        None)."""
-        lev, pos = self._alev[k], self._apos[k]
-        i0 = int(np.searchsorted(lev, level, side="left"))
-        i1 = int(np.searchsorted(lev, level, side="right"))
-        i = i0 + int(np.searchsorted(pos[i0:i1], meet, side="left"))
-        if i < i1 and pos[i] == meet:
-            return i, float(self._aang[k][i])
-        return i, None
-
-    def dist(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        lvl, meet = self._meet(a, b)
-        bm = self._chains[a][lvl][0]
-        sk = self.sample.skeleton
-        dep_m = float(sk.attach_depth[bm]) + (meet - float(sk.lo[bm]))
-        out = 0.25 * self.theta0_sq * (
-            self.depth[a] + self.depth[b] - 2.0 * dep_m
-        )
-        ia, ang_a = self._atom_split(a, lvl, meet)
-        ib, ang_b = self._atom_split(b, lvl, meet)
-        skip_a = ia + (1 if ang_a is not None else 0)
-        skip_b = ib + (1 if ang_b is not None else 0)
-        out += self._acum[a][-1] - self._acum[a][skip_a]
-        out += self._acum[b][-1] - self._acum[b][skip_b]
-        if ang_a is not None and ang_b is not None:
-            i = int(self._aidx[a][ia])
-            out += self.sample.measure.ws[i] * torus_distance(ang_a, ang_b)
-        return out
-
     def dist_to_all(self, a: int) -> np.ndarray:
         """Looptree distance from point a to the whole cloud, vectorized."""
         C, E = self._C, self._E
@@ -334,9 +245,6 @@ class LoopCloud:
             out += np.where(both, th * np.minimum(gap, 1.0 - gap), 0.0)
         out[a] = 0.0
         return out
-
-    def dist_to_all_slow(self, a: int) -> np.ndarray:
-        return np.asarray([self.dist(a, b) for b in range(len(self))])
 
 
 def make_loop_cloud(
@@ -403,7 +311,7 @@ def local_mass_exponents(
     n_ref = len(cloud)
     exponents, flagged = [], 0
     for c in range(len(centers)):
-        d = np.asarray([ref.dist(n_ref + c, j) for j in range(n_ref)])
+        d = ref.dist_to_all(n_ref + c)[:n_ref]
         masses = np.asarray([total * np.mean(d <= e) for e in eps])
         keep = masses > 0
         if np.count_nonzero(keep) < 2:

@@ -41,6 +41,7 @@ from .util import dump_json, keyed_generator
 
 USAGE_ERROR = 1
 SUITE_FAILURE = 2
+MIN_GRID = 1 << 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,8 +111,17 @@ def build_parser() -> _Parser:
 
 def _theta_from_args(args) -> ThetaSpec:
     if args.thetas is not None:
-        with open(args.thetas) as fh:
-            ws = json.load(fh)
+        try:
+            with open(args.thetas) as fh:
+                ws = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise SamplerError(f"cannot read --thetas file {args.thetas}: {e}")
+        if not isinstance(ws, list) or not all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) for w in ws
+        ):
+            raise SamplerError(
+                f"--thetas file {args.thetas} must hold a JSON list of numbers"
+            )
         return ThetaSpec(args.theta0 or 0.0, tuple(ws))
     if args.alpha is not None:
         if args.K is None:
@@ -165,6 +175,8 @@ def cmd_sample(args) -> int:
 
 def cmd_process(args) -> int:
     seed = _resolve_seed(args)
+    if args.grid < MIN_GRID:
+        raise ValueError(f"--grid must be at least {MIN_GRID}, got {args.grid}")
     if args.sample is not None:
         if not os.path.exists(args.sample):
             raise SamplerError(f"missing sample file {args.sample}")
@@ -172,13 +184,12 @@ def cmd_process(args) -> int:
             sample = IcrtSample.from_json(fh.read())
     else:
         sample = sample_icrt(_theta_from_args(args), seed, _stop_from_args(args))
-    n = max(args.grid, 1 << 10)
     table = build_contour_table(
         sample, resolution=args.resolution, rng=keyed_generator(seed, 7)
     )
     realization = FieldRealization(sample, seed)
     path = args.out or "icrt_process.csv"
-    grid = export_process_csv(path, table, realization, n)
+    grid = export_process_csv(path, table, realization, args.grid)
     print(path)
     if args.svg:
         for col in ("height", "lukasiewicz", "snake"):
@@ -455,7 +466,7 @@ def cmd_verify(args) -> int:
     }
     _emit(args, payload, "icrt_verify.json")
     for r in reports:
-        print(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}")
+        print(f"{'FAIL' if r['name'] in failed else 'PASS'} {r['name']}")
     return 0 if not failed else SUITE_FAILURE
 
 

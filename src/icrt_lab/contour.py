@@ -10,7 +10,6 @@ resolution of the true equivalence class.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -97,13 +96,7 @@ def contour_eval(table: ContourTable, t: float) -> LoopPoint:
     representative, so the walk starts at the root corner."""
     if not (0.0 <= t <= 1.0):
         raise ContourError(f"contour time {t} outside [0, 1]")
-    ts = table.ts
-    k = bisect_right(ts, t) - 1
-    if k < 0:
-        k = 0
-    while k > 0 and ts[k - 1] == ts[k]:
-        k -= 1
-    return table.points[k]
+    return table.points[int(_eval_indices(table, [t])[0])]
 
 
 def _eval_indices(table: ContourTable, times) -> np.ndarray:

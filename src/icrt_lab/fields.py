@@ -112,26 +112,19 @@ class FieldRealization:
                 continue
             b = sk.branch_of(p)
             need.setdefault(b, set()).add(p - float(sk.lo[b]))
+        # glue points on the root path of each branch (hi[b] lies on b)
         for b in list(need):
-            a = b
-            while a > 0:
-                g = float(sk.glue_pos[a])
-                pb = int(sk.parent[a])
-                if g > POINT_TOL:
-                    need.setdefault(pb, set()).add(g - float(sk.lo[pb]))
-                a = pb
+            for a, g, child in sk.ascend(float(sk.hi[b])):
+                if child >= 0 and g > POINT_TOL:
+                    need.setdefault(a, set()).add(g - float(sk.lo[a]))
         for b in sorted(need):
             path = self._branches.get(b)
             if path is None:
-                if b == 0:
-                    base = 0.0
-                else:
-                    g = float(sk.glue_pos[b])
-                    if g <= POINT_TOL:
-                        base = 0.0
-                    else:
-                        pb = int(sk.parent[b])
-                        base = self._branches[pb].value(g - float(sk.lo[pb]))
+                base = 0.0
+                g = float(sk.glue_pos[b])  # 0.0 for the root branch
+                if g > POINT_TOL:
+                    pb = int(sk.parent[b])
+                    base = self._branches[pb].value(g - float(sk.lo[pb]))
                 path = _LazyGaussianPath((self.seed, _TREE_TAG, b), base)
                 self._branches[b] = path
             path.insert_batch(need[b])

@@ -32,8 +32,8 @@ def _pair_walk(sample: IcrtSample, alpha, beta):
     if (b.pos, b.angle) < (a.pos, a.angle):
         a, b = b, a  # canonical order keeps evaluation exactly symmetric
     sk = sample.skeleton
-    m = sk.meet(a.pos, b.pos)
-    bm = sk.branch_of(m)
+    bm, pa, _, pb, _ = sk.meet_walk(a.pos, b.pos)
+    m = min(pa, pb)
     d_t = sk.depth(a.pos) + sk.depth(b.pos) - 2.0 * sk.depth(m)
     terms_a, am = _side_terms(sample, a.pos, a.angle, m, bm)
     terms_b, bm_angle = _side_terms(sample, b.pos, b.angle, m, bm)
@@ -46,8 +46,8 @@ def loop_distance(sample: IcrtSample, alpha, beta) -> float:
     d_t, ta, tb, (mi, am, bm) = _pair_walk(sample, alpha, beta)
     ws = sample.measure.ws
     out = 0.25 * sample.measure.theta0_sq * d_t
-    out += sum(ws[i] * torus_distance(u, 0.0) for i, u in ta)
-    out += sum(ws[i] * torus_distance(u, 0.0) for i, u in tb)
+    out += sum(ws[i] * torus_distance(u, 0.0) for i, u, _ in ta)
+    out += sum(ws[i] * torus_distance(u, 0.0) for i, u, _ in tb)
     if mi is not None:
         out += ws[mi] * torus_distance(am, bm)
     return out
@@ -58,8 +58,8 @@ def gff_distance(sample: IcrtSample, alpha, beta) -> float:
     d_t, ta, tb, (mi, am, bm) = _pair_walk(sample, alpha, beta)
     ws = sample.measure.ws
     out = sample.measure.theta0_sq * d_t / 6.0
-    out += sum(ws[i] * _bridge_var(u, 0.0) for i, u in ta)
-    out += sum(ws[i] * _bridge_var(u, 0.0) for i, u in tb)
+    out += sum(ws[i] * _bridge_var(u, 0.0) for i, u, _ in ta)
+    out += sum(ws[i] * _bridge_var(u, 0.0) for i, u, _ in tb)
     if mi is not None:
         out += ws[mi] * _bridge_var(am, bm)
     return out
@@ -70,8 +70,8 @@ def path_mass(sample: IcrtSample, alpha, beta) -> float:
     d_t, ta, tb, (mi, _, _) = _pair_walk(sample, alpha, beta)
     ws = sample.measure.ws
     out = sample.measure.theta0_sq * d_t
-    out += sum(ws[i] for i, _ in ta)
-    out += sum(ws[i] for i, _ in tb)
+    out += sum(ws[i] for i, _, _ in ta)
+    out += sum(ws[i] for i, _, _ in tb)
     if mi is not None:
         out += ws[mi]
     return out

@@ -55,36 +55,16 @@ def compare(sample: IcrtSample, alpha, beta) -> Order:
     """
     a = _check_loop_point(sample, alpha)
     b = _check_loop_point(sample, beta)
-    sk = sample.skeleton
-    bx, by = sk.branch_of(a.pos), sk.branch_of(b.pos)
-    px, py = a.pos, b.pos
-    cx = cy = -1  # child branch through which each side entered its position
-    while bx != by:
-        if bx > by:
-            cx = bx
-            px = float(sk.glue_pos[bx])
-            bx = int(sk.parent[bx])
-        else:
-            cy = by
-            py = float(sk.glue_pos[by])
-            by = int(sk.parent[by])
-    # rank of the meet component each side lives in: own point -2,
-    # continuation -1, glued branch c >= 0
+    _, px, cx, py, cy = sample.skeleton.meet_walk(a.pos, b.pos)
+    # angle and rank of the meet component each side lives in: own point
+    # -2, glued branch c >= 0, or continuation -1 when the other side
+    # reaches the meet branch lower down
+    ua, rank_x = (a.angle, -2) if cx < 0 else (sample.branch_angle(cx), cx)
+    ub, rank_y = (b.angle, -2) if cy < 0 else (sample.branch_angle(cy), cy)
     if px < py:
-        ua = a.angle if cx < 0 else sample.branch_angle(cx)
-        ub = sample.cont_angle(px)
-        rank_x = -2 if cx < 0 else cx
-        rank_y = -1
+        ub, rank_y = sample.cont_angle(px), -1
     elif py < px:
-        ua = sample.cont_angle(py)
-        ub = b.angle if cy < 0 else sample.branch_angle(cy)
-        rank_x = -1
-        rank_y = -2 if cy < 0 else cy
-    else:
-        ua = a.angle if cx < 0 else sample.branch_angle(cx)
-        ub = b.angle if cy < 0 else sample.branch_angle(cy)
-        rank_x = -2 if cx < 0 else cx
-        rank_y = -2 if cy < 0 else cy
+        ua, rank_x = sample.cont_angle(py), -1
     if ua < ub:
         return Order.LEFT
     if ua > ub:
@@ -112,10 +92,6 @@ def order_cmp(sample: IcrtSample):
     return _cmp
 
 
-def meet_point(sample: IcrtSample, x: float, y: float) -> float:
-    return sample.skeleton.meet(x, y)
-
-
 def angle_toward(sample: IcrtSample, x: float, target) -> float:
     """Angle at tree point x of the component containing the target."""
     t = _check_loop_point(sample, target)
@@ -130,42 +106,38 @@ def angle_toward(sample: IcrtSample, x: float, target) -> float:
 
 
 def _side_terms(sample: IcrtSample, x: float, v: float, m: float, bm: int):
-    """Atoms strictly above m on the root path of (x, v), with their angles
-    toward (x, v); plus the angle at m toward (x, v)."""
+    """Atoms strictly above m on the root path of (x, v), as (atom index,
+    angle toward (x, v), position); plus the angle at m toward (x, v)."""
     sk = sample.skeleton
     terms = []
-    b, cur, tau = sk.branch_of(x), x, v
-    while b != bm:
-        terms.extend(_interior_atoms(sample, b, float(sk.lo[b]), cur))
-        i = sample.atom_at(cur)
-        if i is not None:
-            terms.append((i, tau))
-        tau = sample.branch_angle(b)
-        cur = float(sk.glue_pos[b])
-        b = int(sk.parent[b])
-    terms.extend(_interior_atoms(sample, b, m, cur))
-    if cur - m > POINT_TOL:
-        i = sample.atom_at(cur)
-        if i is not None:
-            terms.append((i, tau))
-        a_m = sample.cont_angle(m)
-    else:
-        a_m = tau
-    return terms, a_m
+    for b, top, child in sk.ascend(x, bm):
+        tau = v if child < 0 else sample.branch_angle(child)
+        if b == bm:
+            break
+        terms += _segment_atoms(sample, b, float(sk.lo[b]), top, tau)
+    above = top - m > POINT_TOL
+    terms += _segment_atoms(sample, bm, m, top, tau if above else None)
+    return terms, sample.cont_angle(m) if above else tau
 
 
-def _interior_atoms(sample: IcrtSample, b: int, lo: float, hi: float):
-    """Atoms of branch b with position strictly inside (lo, hi)."""
+def _segment_atoms(sample: IcrtSample, b: int, lo: float, top: float, tau):
+    """Atoms of branch b strictly inside (lo, top) with their own angles,
+    then the atom at top (if any) with angle tau, the angle toward the
+    walker there; tau None leaves the top out.  Entries are (atom index,
+    angle, position)."""
+    out = []
     pos = sample.branch_atoms_pos[b]
-    if pos.size == 0:
-        return []
-    i0 = int(np.searchsorted(pos, lo, side="right"))
-    i1 = int(np.searchsorted(pos, hi, side="left"))
-    idx = sample.branch_atoms_idx[b]
-    return [
-        (int(idx[k]), float(sample.angles.atom_angles[idx[k]]))
-        for k in range(i0, i1)
-    ]
+    if pos.size:
+        i0 = pos.searchsorted(lo, side="right")
+        i1 = pos.searchsorted(top, side="left")
+        idx = sample.branch_atoms_idx[b][i0:i1]
+        angs = sample.angles.atom_angles[idx]
+        out = list(zip(idx.tolist(), angs.tolist(), pos[i0:i1].tolist()))
+    if tau is not None:
+        i = sample.atom_at(top)
+        if i is not None:
+            out.append((i, tau, top))
+    return out
 
 
 def path_atom_angles(sample: IcrtSample, alpha) -> list:
@@ -173,7 +145,7 @@ def path_atom_angles(sample: IcrtSample, alpha) -> list:
     the point's own atom entering with its own angle."""
     a = _check_loop_point(sample, alpha)
     terms, _ = _side_terms(sample, a.pos, a.angle, 0.0, 0)
-    return terms
+    return [(i, u) for i, u, _ in terms]
 
 
 def lukasiewicz_value(sample: IcrtSample, alpha) -> float:
@@ -214,9 +186,7 @@ class MassCache:
             self.a_idx.append(idx)
 
         # children within the level, sorted by glue position
-        kids: list[list[int]] = [[] for _ in range(nb)]
-        for c in range(1, nb):
-            kids[int(sk.parent[c])].append(c)
+        kids = [[c for c in sk.children[b] if c < nb] for b in range(nb)]
         self.c_pos, self.c_ids = [], []
         for b in range(nb):
             cs = sorted(kids[b], key=lambda c: float(sk.glue_pos[c]))
@@ -230,9 +200,6 @@ class MassCache:
             at = float(np.sum(ws[self.a_idx[b]])) if self.a_idx[b].size else 0.0
             kid = float(np.sum(self.mass_sub[self.c_ids[b]])) if kids[b] else 0.0
             self.mass_sub[b] = leb + at + kid
-        self.total = t0 * l + sum(
-            float(np.sum(ws[self.a_idx[b]])) for b in range(nb)
-        )
 
         # branch-sorted hang tables at glue positions
         atom_positions = set(sample.atom_index_at.keys())
@@ -263,17 +230,13 @@ class MassCache:
             self.a_th1mu_cum.append(
                 np.concatenate([[0.0], np.cumsum(th * (1.0 - uu))])
             )
-            hl = np.zeros(idx.size)
-            hr = np.zeros(idx.size)
-            for k in range(idx.size):
-                p = float(self.a_pos[b][k])
-                entry = self.hang.get(p)
-                if entry is not None:
-                    angs, cmass, _ = entry
-                    j = int(np.searchsorted(angs, uu[k], side="left"))
-                    hl[k] = cmass[j]
-                    jr = int(np.searchsorted(angs, uu[k], side="right"))
-                    hr[k] = cmass[-1] - cmass[jr]
+            apos = self.a_pos[b]
+            hl = np.asarray(
+                [self.hang_mass(float(p), u, "left") for p, u in zip(apos, uu)]
+            )
+            hr = np.asarray(
+                [self.hang_mass(float(p), u, "right") for p, u in zip(apos, uu)]
+            )
             self.a_hl_cum.append(np.concatenate([[0.0], np.cumsum(hl)]))
             self.a_hr_cum.append(np.concatenate([[0.0], np.cumsum(hr)]))
             # generic glue positions: not sitting on an atom
@@ -356,8 +319,8 @@ def _directional_mass(sample: IcrtSample, l: float, alpha, side: str) -> float:
     left = side == "left"
 
     total = 0.0
-    b, cur, tau = sk.branch_of(a.pos), a.pos, a.angle
-    while True:
+    for b, cur, child in sk.ascend(a.pos):
+        tau = a.angle if child < 0 else sample.branch_angle(child)
         s = float(sk.lo[b])
         total += 0.5 * t0 * (cur - s)
         pos = mc.a_pos[b]
@@ -384,11 +347,6 @@ def _directional_mass(sample: IcrtSample, l: float, alpha, side: str) -> float:
         if (ca < tau) if left else (ca > tau):
             total += mc.mass_above(b, cur)
         total += mc.hang_mass(cur, tau, side)
-        if b == 0:
-            break
-        tau = sample.branch_angle(b)
-        cur = float(sk.glue_pos[b])
-        b = int(sk.parent[b])
     return total
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class ThetaSpec:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if not math.isfinite(self.theta0):
+            raise SamplerError(f"theta0 must be finite, got {self.theta0}")
+        if not np.all(np.isfinite(w)):
+            raise SamplerError("atom weights must be finite")
         if self.theta0 < 0:
             raise SamplerError("theta0 must be nonnegative")
         if w.size and (np.any(w <= 0) or np.any(np.diff(w) > 0)):
@@ -105,10 +110,10 @@ class MeasureState:
 
     def next_cut(self, l0: float, e: float) -> float:
         """Solve Lambda(l) = Lambda(l0) + e exactly, piece by piece."""
-        target = self.cumulative_rate(l0) + e
+        lam = self.cumulative_rate(l0)
+        target = lam + e
         i = int(np.searchsorted(self.xs_sorted, l0, side="right"))
         cur = l0
-        lam = self.cumulative_rate(l0)
         rate = self.theta0_sq * cur + float(self.cum_sorted[i])
         while True:
             nb = self.xs_sorted[i] if i < self.xs_sorted.size else math.inf
@@ -231,8 +236,10 @@ class StopRule:
     def __post_init__(self):
         if (self.max_level is None) == (self.max_branches is None):
             raise SamplerError("exactly one of max_level / max_branches required")
-        if self.max_level is not None and self.max_level <= 0:
-            raise SamplerError("max_level must be positive")
+        if self.max_level is not None and not (0 < self.max_level < math.inf):
+            raise SamplerError(
+                f"max_level must be positive and finite, got {self.max_level}"
+            )
         if self.max_branches is not None and self.max_branches < 1:
             raise SamplerError("max_branches must be >= 1")
 
@@ -310,6 +317,7 @@ class IcrtSample:
 
     def _build_index(self):
         sk = self.skeleton
+        self._xs_sorted_list = self.measure.xs_sorted.tolist()  # for bisect
         self.atom_index_at: dict[float, int] = {}
         by_branch: list[list] = [[] for _ in range(sk.n_branches)]
         for i in range(self.measure.xs.size):
@@ -332,11 +340,11 @@ class IcrtSample:
         hit = self.atom_index_at.get(pos)
         if hit is not None:
             return hit
-        xs = self.measure.xs_sorted
-        j = int(np.searchsorted(xs, pos))
+        xs = self._xs_sorted_list
+        j = bisect_left(xs, pos)
         for k in (j - 1, j):
-            if 0 <= k < xs.size and abs(xs[k] - pos) <= POINT_TOL:
-                return self.atom_index_at.get(float(xs[k]))
+            if 0 <= k < len(xs) and abs(xs[k] - pos) <= POINT_TOL:
+                return self.atom_index_at.get(xs[k])
         return None
 
     def cont_angle(self, pos: float) -> float:
@@ -407,8 +415,12 @@ def assemble_sample(spec, measure, cuts, glues, angles, level, seed=None) -> Icr
     return IcrtSample(spec, measure, skel, angles, level, seed)
 
 
-def sample_icrt(spec: ThetaSpec, seed: int, stop: StopRule) -> IcrtSample:
-    """Full pipeline; bit-reproducible from the master seed."""
+def _draw(spec: ThetaSpec, seed: int, stop: StopRule):
+    """Every random draw of the pipeline, one substream per stage.
+
+    Returns (measure, cuts, glue_cuts, glues, angles, level), where
+    glue_cuts are the cuts that carry a glued branch.
+    """
     measure = sample_atoms(spec, substream(seed, "atoms"))
     cuts = sample_cuts(measure, substream(seed, "cuts"), stop)
     if stop.max_level is not None:
@@ -421,4 +433,10 @@ def sample_icrt(spec: ThetaSpec, seed: int, stop: StopRule) -> IcrtSample:
         glue_cuts = cuts[:-1]
     glues = sample_glue(measure, glue_cuts, substream(seed, "glues"))
     angles = sample_angles(measure, glue_cuts, glues, substream(seed, "angles"))
+    return measure, cuts, glue_cuts, glues, angles, level
+
+
+def sample_icrt(spec: ThetaSpec, seed: int, stop: StopRule) -> IcrtSample:
+    """Full pipeline; bit-reproducible from the master seed."""
+    measure, cuts, _, glues, angles, level = _draw(spec, seed, stop)
     return assemble_sample(spec, measure, cuts, glues, angles, level, seed)

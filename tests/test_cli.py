@@ -45,6 +45,32 @@ class TestSample:
         assert code == 1
         assert "theta0" in capsys.readouterr().err
 
+    def test_non_finite_input_exits_one(self, capsys):
+        code = cli.main(["sample", "--theta0", "nan", "--branches", "3"])
+        assert code == 1
+        assert "theta0" in capsys.readouterr().err
+        code = cli.main(["sample", "--theta0", "1", "--level", "nan"])
+        assert code == 1
+        assert "max_level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ['{"w": [1.0]}', '[1.0, "x"]', "[true]", "[1.0", None]
+    )
+    def test_bad_thetas_file_exits_one(self, tmp_path, capsys, text):
+        f = tmp_path / "w.json"
+        if text is not None:
+            f.write_text(text)
+        code = cli.main(["sample", "--thetas", str(f), "--level", "2"])
+        assert code == 1
+        assert str(f) in capsys.readouterr().err
+
+    def test_non_finite_thetas_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "w.json"
+        f.write_text("[NaN]")
+        code = cli.main(["sample", "--thetas", str(f), "--level", "2"])
+        assert code == 1
+        assert "weights must be finite" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a = run(
             ["sample", "--alpha", "1.5", "--K", "30", "--level", "3", "--seed", "5"],
@@ -139,6 +165,15 @@ class TestProcess:
         f = tmp_path / "thetas.json"
         f.write_text("[1.0]")
         return f
+
+    def test_grid_below_minimum_rejected(self, tmp_path, capsys):
+        code = cli.main(
+            ["process", "--theta0", "1", "--level", "2", "--grid", "1023",
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 1
+        assert "1024" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_missing_sample_file(self, tmp_path, capsys):
         code = cli.main(["process", "--sample", str(tmp_path / "nope.json")])
@@ -244,6 +279,21 @@ class TestVerify:
             ["verify", "metric", "--out", str(tmp_path / "v.json"), "--seed", "1"]
         )
         assert code == 2
+
+    def test_console_agrees_with_verdict(self, tmp_path, capsys):
+        # seed 49: field-variance has p = 0.0043, significant at 0.01 alone
+        # but not after the Bonferroni correction over the p-valued checks
+        code, out = run(
+            ["verify", "all", "--seeds", "400", "--seed", "49"], tmp_path, "v.json"
+        )
+        obj = json.loads(out.read_text())
+        lines = capsys.readouterr().out.splitlines()[1:]
+        want = [
+            f"{'FAIL' if r['name'] in obj['failed'] else 'PASS'} {r['name']}"
+            for r in obj["reports"]
+        ]
+        assert lines == want
+        assert code == 0 and obj["passed"] and "PASS field-variance" in lines
 
     def test_verify_rerun_byte_identical(self, tmp_path):
         args = ["verify", "urn", "--seeds", "60", "--seed", "9"]

@@ -32,6 +32,16 @@ class TestThetaSpec:
         with pytest.raises(SamplerError):
             ThetaSpec(0.0, (0.3, 0.4, math.sqrt(1 - 0.25)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(SamplerError, match="theta0"):
+            ThetaSpec(math.nan, ())
+        with pytest.raises(SamplerError, match="theta0"):
+            ThetaSpec(math.inf, ())
+        with pytest.raises(SamplerError, match="weights"):
+            ThetaSpec(0.0, (math.nan,))
+        with pytest.raises(SamplerError, match="weights"):
+            ThetaSpec(0.0, (1.0, math.nan))
+
     def test_power_law(self):
         spec = ThetaSpec.power_law(1.5, 200)
         w = np.asarray(spec.weights)
@@ -234,6 +244,9 @@ class TestPipeline:
             StopRule()
         with pytest.raises(SamplerError):
             StopRule(max_level=1.0, max_branches=2)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(SamplerError, match="max_level"):
+                StopRule(max_level=bad)
 
     def test_seed_reproducibility_bitwise(self):
         spec = ThetaSpec.power_law(1.5, 40, theta0=0.3)

@@ -239,3 +239,90 @@ class TestSerialization:
         clone = Skeleton.from_json(sk.to_json())
         assert clone.to_json() == sk.to_json()
         assert json.loads(sk.to_json())["cuts"] == sk.cuts.tolist()
+
+
+def ancestry_reference(cuts, glues, p):
+    """Ancestral line of p by direct scans: [(branch, top, child)] from p's
+    branch to the root.  A point lies on the first branch whose cut it does
+    not exceed (a cut belongs to the branch below it)."""
+
+    def branch(x):
+        return next(b for b, y in enumerate(cuts) if x <= y + 1e-12)
+
+    line, b, top, child = [], branch(p), p, -1
+    while True:
+        line.append((b, top, child))
+        if b == 0:
+            return line
+        b, top, child = branch(glues[b - 1]), glues[b - 1], b
+
+
+def meet_reference(cuts, glues, p, q):
+    """(meet branch, exit of p, child of p, exit of q, child of q) from the
+    two ancestral lines: the meet branch is the deepest one they share."""
+    lp = {b: (top, child) for b, top, child in ancestry_reference(cuts, glues, p)}
+    lq = {b: (top, child) for b, top, child in ancestry_reference(cuts, glues, q)}
+    bm = max(set(lp) & set(lq))
+    return (bm,) + lp[bm] + lq[bm]
+
+
+DEGENERATE = {
+    "glue at 0": ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 2.5]),
+    "glue at a cut": ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0]),
+    "coincident glues": ([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 1.5]),
+}
+
+
+def walk_cases(skeleton_fixture):
+    yield skeleton_fixture, [1.0, 2.0, 3.0], [0.5, 1.5]
+    for cuts, glues in DEGENERATE.values():
+        yield Skeleton(cuts, glues), cuts, glues
+    rng = np.random.default_rng(8)
+    sk, cuts, glues = random_skeleton(rng, 20)
+    yield sk, list(cuts), list(glues)
+
+
+def walk_points(cuts, glues):
+    pts = {0.0, cuts[-1]} | set(cuts) | set(glues)
+    lo = [0.0] + list(cuts[:-1])
+    pts |= {0.5 * (a + b) for a, b in zip(lo, cuts)}
+    return sorted(pts)
+
+
+class TestRootPathWalk:
+    def test_ascend_matches_reference(self, skeleton_fixture):
+        for sk, cuts, glues in walk_cases(skeleton_fixture):
+            for p in walk_points(cuts, glues):
+                assert list(sk.ascend(p)) == ancestry_reference(cuts, glues, p)
+
+    def test_meet_walk_matches_reference(self, skeleton_fixture):
+        for sk, cuts, glues in walk_cases(skeleton_fixture):
+            pts = walk_points(cuts, glues)
+            for p in pts:
+                for q in pts:
+                    want = meet_reference(cuts, glues, p, q)
+                    assert sk.meet_walk(p, q) == want
+                    assert sk.meet(p, q) == min(want[1], want[3])
+
+    def test_stop_ends_at_meet_branch(self, skeleton_fixture):
+        for sk, cuts, glues in walk_cases(skeleton_fixture):
+            pts = walk_points(cuts, glues)
+            for p in pts:
+                for q in pts:
+                    bm, px, cx, qx, cq = sk.meet_walk(p, q)
+                    for x, exit_x, child in ((p, px, cx), (q, qx, cq)):
+                        line = list(sk.ascend(x, bm))
+                        assert line[-1] == (bm, exit_x, child)
+                        assert all(b > bm for b, _, _ in line[:-1])
+                        assert line == list(sk.ascend(x))[: len(line)]
+
+    def test_degenerate_glues(self):
+        sk = Skeleton(*DEGENERATE["glue at 0"])
+        assert list(sk.ascend(1.5)) == [(1, 1.5, -1), (0, 0.0, 1)]
+        assert sk.meet_walk(1.5, 2.5) == (0, 0.0, 1, 0.0, 2)
+        sk = Skeleton(*DEGENERATE["glue at a cut"])
+        # the glue at cut 1.0 lands on branch 0, the one at 2.0 on branch 1
+        assert list(sk.ascend(2.5)) == [(2, 2.5, -1), (1, 2.0, 2), (0, 1.0, 1)]
+        sk = Skeleton(*DEGENERATE["coincident glues"])
+        assert sk.meet_walk(1.5, 2.5) == (0, 0.5, 1, 0.5, 2)
+        assert sk.meet(1.5, 2.5) == 0.5
