@@ -8,7 +8,10 @@ sample.
 """
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, bisect_right
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +38,15 @@ class PlaneError(ValueError):
 
 
 def _check_loop_point(sample: IcrtSample, alpha, l: float | None = None) -> LoopPoint:
+    """Validated loop point; a position within POINT_TOL of an atom becomes
+    the atom's exact coordinate, so every later lookup is exact."""
     pos, angle = float(alpha[0]), float(alpha[1])
     limit = sample.level if l is None else l
     if not (-POINT_TOL <= pos <= limit + POINT_TOL):
         raise PlaneError(f"tree position {pos} outside [0, {limit}]")
     if not (0.0 <= angle <= 1.0):
         raise PlaneError(f"angle {angle} outside [0, 1]")
-    return LoopPoint(pos, angle)
+    return LoopPoint(sample.snap(pos), angle)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,7 @@ def order_cmp(sample: IcrtSample):
 def angle_toward(sample: IcrtSample, x: float, target) -> float:
     """Angle at tree point x of the component containing the target."""
     t = _check_loop_point(sample, target)
-    x = sample.skeleton.check_point(x)
+    x = sample.snap(sample.skeleton.check_point(x))
     if abs(x - t.pos) <= POINT_TOL:
         return t.angle
     m = sample.skeleton.meet(x, t.pos)
@@ -160,142 +165,113 @@ def lukasiewicz_value(sample: IcrtSample, alpha) -> float:
 # ---------------------------------------------------------------------------
 # per-level mass cache
 # ---------------------------------------------------------------------------
+# a point of a branch with no atom and nothing glued to it
+_OFF_EVENT = (0.0, 0.5, [], [0.0])
+# whether an angle lies on a side of the direction tau
+_BEYOND = {"left": operator.lt, "right": operator.gt, "front": operator.eq}
+
+
+def _event_mass(event, tau: float, side: str) -> float:
+    """Mass of an event on one side of the direction tau: the atom's share
+    of its loop, plus the branches glued there whose angle is below tau
+    (left), above it (right) or equal to it (front)."""
+    th, _, angs, cm = event
+    j = bisect_left(angs, tau)
+    if side == "left":
+        return th * tau + cm[j]
+    k = bisect_right(angs, tau)
+    if side == "right":
+        return th * (1.0 - tau) + (cm[-1] - cm[k])
+    return cm[k] - cm[j]
+
+
 class MassCache:
-    """Subtree aggregates of mu restricted to [0, l], built once per level."""
+    """Subtree aggregates of mu restricted to [0, l], built once per level.
+
+    Each branch keeps one sorted list of events: its atoms and the points
+    where branches are glued to it.  An event has a weight theta and an
+    angle u (an atom's own; a glue point off the atoms has weight 0 and
+    angle 1/2) and a hang table: the branches glued there sorted by angle,
+    with cumulated subtree masses.  Seen from a root path that passes the
+    event, theta*u and the branches at angles below u lie on the left,
+    theta*(1-u) and those above u on the right; `cum[side]` holds these
+    masses as prefix sums over the events.
+    """
 
     def __init__(self, sample: IcrtSample, l: float):
         sk = sample.skeleton
-        self.level = float(l)
-        self.sample = sample
-        self.top_branch = B = sk.branch_of(l)
-        nb = B + 1
+        nb = sk.branch_of(l) + 1
+        self.t0 = t0 = sample.measure.theta0_sq
         self.clip_hi = np.minimum(sk.hi[:nb], l)
-
-        t0 = sample.measure.theta0_sq
         ws = sample.measure.ws
-        ux = sample.angles.atom_angles
+        wl, ul = ws.tolist(), sample.angles.atom_angles.tolist()
+        glue = sk.glue_pos.tolist()
 
-        # per-branch atoms clipped to the level
-        self.a_pos, self.a_idx = [], []
+        # atoms within the level; children sorted by glue position
+        a_idx, kids = [], []
         for b in range(nb):
-            pos, idx = sample.branch_atoms_pos[b], sample.branch_atoms_idx[b]
-            if b == B and pos.size:
-                kk = int(np.searchsorted(pos, l, side="right"))
-                pos, idx = pos[:kk], idx[:kk]
-            self.a_pos.append(pos)
-            self.a_idx.append(idx)
-
-        # children within the level, sorted by glue position
-        kids = [[c for c in sk.children[b] if c < nb] for b in range(nb)]
-        self.c_pos, self.c_ids = [], []
-        for b in range(nb):
-            cs = sorted(kids[b], key=lambda c: float(sk.glue_pos[c]))
-            self.c_ids.append(np.asarray(cs, dtype=int))
-            self.c_pos.append(np.asarray([float(sk.glue_pos[c]) for c in cs]))
+            k = bisect_right(sample.branch_atoms_pos[b], l)
+            a_idx.append(sample.branch_atoms_idx[b][:k])
+            cs = [c for c in sk.children[b] if c < nb]
+            kids.append(sorted(cs, key=glue.__getitem__))
 
         # subtree masses, leaves first
         self.mass_sub = np.zeros(nb)
         for b in range(nb - 1, -1, -1):
             leb = t0 * (self.clip_hi[b] - sk.lo[b])
-            at = float(np.sum(ws[self.a_idx[b]])) if self.a_idx[b].size else 0.0
-            kid = float(np.sum(self.mass_sub[self.c_ids[b]])) if kids[b] else 0.0
+            at = float(np.sum(ws[a_idx[b]])) if a_idx[b].size else 0.0
+            kid = float(np.sum(self.mass_sub[kids[b]])) if kids[b] else 0.0
             self.mass_sub[b] = leb + at + kid
+        sub = self.mass_sub.tolist()
 
-        # branch-sorted hang tables at glue positions
-        atom_positions = set(sample.atom_index_at.keys())
-        self.hang: dict[float, tuple] = {}
+        # per branch: the events by position, and prefix sums over them of
+        # each side's mass and, for mass_above, of atom and child masses
+        self.pos, self.events, self.atom_cum, self.kid_cum = [], [], [], []
+        self.cum = {"left": [], "right": []}
         for b in range(nb):
-            pp = self.c_pos[b]
-            ii = self.c_ids[b]
-            for p in np.unique(pp):
-                sel = ii[pp == p]
-                angs = np.asarray([sample.branch_angle(c) for c in sel])
-                o = np.argsort(angs, kind="stable")
-                self.hang[float(p)] = (
-                    angs[o],
-                    np.concatenate([[0.0], np.cumsum(self.mass_sub[sel[o]])]),
-                    sel[o],
-                )
-
-        # cumulative tables per branch
-        self.a_th_cum, self.a_thu_cum, self.a_th1mu_cum = [], [], []
-        self.a_hl_cum, self.a_hr_cum = [], []
-        self.cg_pos, self.cg_l_cum, self.cg_r_cum, self.c_mass_cum = [], [], [], []
-        for b in range(nb):
-            idx = self.a_idx[b]
-            th = ws[idx] if idx.size else np.empty(0)
-            uu = ux[idx] if idx.size else np.empty(0)
-            self.a_th_cum.append(np.concatenate([[0.0], np.cumsum(th)]))
-            self.a_thu_cum.append(np.concatenate([[0.0], np.cumsum(th * uu)]))
-            self.a_th1mu_cum.append(
-                np.concatenate([[0.0], np.cumsum(th * (1.0 - uu))])
-            )
-            apos = self.a_pos[b]
-            hl = np.asarray(
-                [self.hang_mass(float(p), u, "left") for p, u in zip(apos, uu)]
-            )
-            hr = np.asarray(
-                [self.hang_mass(float(p), u, "right") for p, u in zip(apos, uu)]
-            )
-            self.a_hl_cum.append(np.concatenate([[0.0], np.cumsum(hl)]))
-            self.a_hr_cum.append(np.concatenate([[0.0], np.cumsum(hr)]))
-            # generic glue positions: not sitting on an atom
-            pp, ii = self.c_pos[b], self.c_ids[b]
-            gen = np.asarray(
-                [k for k in range(ii.size) if float(pp[k]) not in atom_positions],
-                dtype=int,
-            )
-            gpos = pp[gen] if gen.size else np.empty(0)
-            gmass = self.mass_sub[ii[gen]] if gen.size else np.empty(0)
-            gang = (
-                np.asarray([sample.branch_angle(c) for c in ii[gen]])
-                if gen.size
-                else np.empty(0)
-            )
-            self.cg_pos.append(gpos)
-            self.cg_l_cum.append(
-                np.concatenate([[0.0], np.cumsum(gmass * (gang < 0.5))])
-            )
-            self.cg_r_cum.append(
-                np.concatenate([[0.0], np.cumsum(gmass * (gang > 0.5))])
-            )
-            self.c_mass_cum.append(
-                np.concatenate([[0.0], np.cumsum(self.mass_sub[ii])])
-            )
+            apos = sample.branch_atoms_pos[b][: a_idx[b].size].tolist()
+            at_x = {x: (wl[i], ul[i], []) for x, i in zip(apos, a_idx[b].tolist())}
+            for c in kids[b]:
+                at_x.setdefault(glue[c], (0.0, 0.5, []))[2].append(c)
+            pos = sorted(at_x)
+            events, acum, kcum = [], [0.0], [0.0]
+            for x in pos:
+                th, u, cs = at_x[x]
+                acum.append(acum[-1] + th)
+                kcum.append(kcum[-1])
+                for c in cs:  # in glue-position order, like mass_sub
+                    kcum[-1] += sub[c]
+                cs.sort(key=sample.branch_angle)
+                hang = list(accumulate((sub[c] for c in cs), initial=0.0))
+                events.append((th, u, [sample.branch_angle(c) for c in cs], hang))
+            self.pos.append(pos)
+            self.events.append(events)
+            self.atom_cum.append(acum)
+            self.kid_cum.append(kcum)
+            for side, cum in self.cum.items():
+                sums = (_event_mass(e, e[1], side) for e in events)
+                cum.append(list(accumulate(sums, initial=0.0)))
 
     # ------------------------------------------------------------------
     def mass_above(self, b: int, x: float) -> float:
         """Mass of the continuing component of branch b strictly above x."""
-        t0 = self.sample.measure.theta0_sq
-        out = t0 * max(self.clip_hi[b] - x, 0.0)
-        pos = self.a_pos[b]
-        j = int(np.searchsorted(pos, x, side="right")) if pos.size else 0
-        out += self.a_th_cum[b][-1] - self.a_th_cum[b][j]
-        cp = self.c_pos[b]
-        j = int(np.searchsorted(cp, x, side="right")) if cp.size else 0
-        out += self.c_mass_cum[b][-1] - self.c_mass_cum[b][j]
+        k = bisect_right(self.pos[b], x)
+        out = self.t0 * max(self.clip_hi[b] - x, 0.0)
+        out += self.atom_cum[b][-1] - self.atom_cum[b][k]
+        out += self.kid_cum[b][-1] - self.kid_cum[b][k]
         return out
 
-    def hang_mass(self, pos: float, tau: float, side: str) -> float:
-        """Mass of branches glued at pos whose angle is strictly beyond tau."""
-        entry = self.hang.get(pos)
-        if entry is None:
-            return 0.0
-        angs, cmass, _ = entry
-        if side == "left":
-            j = int(np.searchsorted(angs, tau, side="left"))
-            return float(cmass[j])
-        j = int(np.searchsorted(angs, tau, side="right"))
-        return float(cmass[-1] - cmass[j])
-
-    def hang_mass_equal(self, pos: float, tau: float) -> float:
-        entry = self.hang.get(pos)
-        if entry is None:
-            return 0.0
-        angs, cmass, _ = entry
-        j0 = int(np.searchsorted(angs, tau, side="left"))
-        j1 = int(np.searchsorted(angs, tau, side="right"))
-        return float(cmass[j1] - cmass[j0])
+    def point_mass(self, b: int, x: float, tau: float, side: str) -> float:
+        """Mass at the point x of branch b on one side of the direction tau:
+        the event at x, and the continuing component above x when its
+        angle lies on that side."""
+        pos = self.pos[b]
+        k = bisect_left(pos, x)
+        ev = self.events[b][k] if k < len(pos) and pos[k] == x else _OFF_EVENT
+        out = _event_mass(ev, tau, side)
+        if _BEYOND[side](ev[1], tau):
+            out += self.mass_above(b, x)
+        return out
 
 
 def mass_cache(sample: IcrtSample, l: float) -> MassCache:
@@ -314,39 +290,16 @@ def _directional_mass(sample: IcrtSample, l: float, alpha, side: str) -> float:
     a = _check_loop_point(sample, alpha, l)
     mc = mass_cache(sample, l)
     sk = sample.skeleton
-    ws = sample.measure.ws
-    t0 = sample.measure.theta0_sq
-    left = side == "left"
-
+    cum = mc.cum[side]
     total = 0.0
     for b, cur, child in sk.ascend(a.pos):
         tau = a.angle if child < 0 else sample.branch_angle(child)
-        s = float(sk.lo[b])
-        total += 0.5 * t0 * (cur - s)
-        pos = mc.a_pos[b]
-        if pos.size:
-            i0 = int(np.searchsorted(pos, s, side="right"))
-            i1 = int(np.searchsorted(pos, cur, side="left"))
-            if left:
-                total += mc.a_thu_cum[b][i1] - mc.a_thu_cum[b][i0]
-                total += mc.a_hl_cum[b][i1] - mc.a_hl_cum[b][i0]
-            else:
-                total += mc.a_th1mu_cum[b][i1] - mc.a_th1mu_cum[b][i0]
-                total += mc.a_hr_cum[b][i1] - mc.a_hr_cum[b][i0]
-        gp = mc.cg_pos[b]
-        if gp.size:
-            j0 = int(np.searchsorted(gp, s, side="right"))
-            j1 = int(np.searchsorted(gp, cur, side="left"))
-            cum = mc.cg_l_cum[b] if left else mc.cg_r_cum[b]
-            total += cum[j1] - cum[j0]
-        # the top point of this segment
-        i = sample.atom_at(cur)
-        if i is not None:
-            total += ws[i] * (tau if left else 1.0 - tau)
-        ca = sample.cont_angle(cur)
-        if (ca < tau) if left else (ca > tau):
-            total += mc.mass_above(b, cur)
-        total += mc.hang_mass(cur, tau, side)
+        # the segment below cur: its Lebesgue mass splits evenly (angle
+        # 1/2), and the walk passes every event of branch b below cur
+        # (events lie above lo[b], or at the root on branch 0)
+        total += 0.5 * mc.t0 * (cur - float(sk.lo[b]))
+        total += cum[b][bisect_left(mc.pos[b], cur)]
+        total += mc.point_mass(b, cur, tau, side)
     return total
 
 
@@ -362,14 +315,8 @@ def right_mass(sample: IcrtSample, l: float, alpha) -> float:
 def front_mass(sample: IcrtSample, l: float, alpha) -> float:
     """Mass of the components directly in front of alpha (angle match)."""
     a = _check_loop_point(sample, alpha, l)
-    mc = mass_cache(sample, l)
-    sk = sample.skeleton
-    b = sk.branch_of(a.pos)
-    total = 0.0
-    if sample.cont_angle(a.pos) == a.angle and sk.hi[b] - a.pos > 0:
-        total += mc.mass_above(b, a.pos)
-    total += mc.hang_mass_equal(a.pos, a.angle)
-    return total
+    b = sample.skeleton.branch_of(a.pos)
+    return mass_cache(sample, l).point_mass(b, a.pos, a.angle, "front")
 
 
 def left_fraction(sample: IcrtSample, l: float, alpha) -> float:

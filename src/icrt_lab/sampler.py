@@ -317,7 +317,6 @@ class IcrtSample:
 
     def _build_index(self):
         sk = self.skeleton
-        self._xs_sorted_list = self.measure.xs_sorted.tolist()  # for bisect
         self.atom_index_at: dict[float, int] = {}
         by_branch: list[list] = [[] for _ in range(sk.n_branches)]
         for i in range(self.measure.xs.size):
@@ -325,6 +324,7 @@ class IcrtSample:
             if x <= self.level + POINT_TOL:
                 self.atom_index_at[x] = i
                 by_branch[sk.branch_of(x)].append((x, i))
+        self._atom_list = sorted(self.atom_index_at)  # for bisect in snap
         self.branch_atoms_pos: list[np.ndarray] = []
         self.branch_atoms_idx: list[np.ndarray] = []
         for b in range(sk.n_branches):
@@ -335,17 +335,19 @@ class IcrtSample:
             )
 
     # ------------------------------------------------------------------
-    def atom_at(self, pos: float) -> int | None:
-        """Atom index at a position, tolerating 1e-12 coordinate noise."""
-        hit = self.atom_index_at.get(pos)
-        if hit is not None:
-            return hit
-        xs = self._xs_sorted_list
+    def snap(self, pos: float) -> float:
+        """The coordinate of the atom within POINT_TOL of pos, else pos."""
+        xs = self._atom_list
         j = bisect_left(xs, pos)
         for k in (j - 1, j):
             if 0 <= k < len(xs) and abs(xs[k] - pos) <= POINT_TOL:
-                return self.atom_index_at.get(xs[k])
-        return None
+                return xs[k]
+        return pos
+
+    def atom_at(self, pos: float) -> int | None:
+        """Atom index at a position; atoms are looked up by their exact
+        coordinate, which `snap` gives to any point within POINT_TOL."""
+        return self.atom_index_at.get(pos)
 
     def cont_angle(self, pos: float) -> float:
         """Angle of the continuing direction: stored for atoms, else 1/2."""

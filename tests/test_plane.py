@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from icrt_lab import (
+    AngleTable,
+    MeasureState,
     Order,
+    StopRule,
+    ThetaSpec,
+    assemble_sample,
     angle_toward,
     compare,
     front_mass,
@@ -10,9 +17,37 @@ from icrt_lab import (
     left_mass,
     lukasiewicz_value,
     right_mass,
+    sample_icrt,
     sample_loop_point,
 )
 from icrt_lab.plane import PlaneError, monte_carlo_left_mass, order_cmp
+
+
+def _degenerate_samples():
+    """Hand-built samples on degenerate skeletons: a glue at 0, a glue at a
+    cut, two glues on an atom, two glues off the atoms, and theta0 = 0."""
+
+    def build(theta0_sq, ws, glues):
+        spec = ThetaSpec(math.sqrt(theta0_sq), tuple(ws))
+        measure = MeasureState(theta0_sq, [0.25, 1.25], ws)
+        angles = AngleTable([0.2, 0.8], [0.7, 0.4])
+        return assemble_sample(spec, measure, [1.0, 2.0], glues, angles, 3.0)
+
+    return [
+        build(0.55, [0.6, 0.3], [0.0, 1.5]),
+        build(0.55, [0.6, 0.3], [0.5, 1.0]),
+        build(0.55, [0.6, 0.3], [0.25, 0.25]),
+        build(0.55, [0.6, 0.3], [0.5, 0.5]),
+        build(0.0, [0.8, 0.6], [0.5, 1.5]),
+    ]
+
+
+def _corner_points(sample):
+    """Loop points at the root, the cuts, the glue points and the atoms,
+    on an angle grid."""
+    sk = sample.skeleton
+    xs = {0.0, *sk.cuts.tolist(), *sk.glues.tolist(), *sample.atom_index_at}
+    return [(x, u) for x in sorted(xs) for u in np.linspace(0.0, 1.0, 9).tolist()]
 
 
 class TestAngles:
@@ -110,15 +145,35 @@ class TestMasses:
         assert right_mass(s, 3.0, (0.0, 0.0)) == pytest.approx(2.55, abs=1e-12)
 
     def test_mass_partition(self, hand_sample, powerlaw_sample):
-        for s in (hand_sample, powerlaw_sample):
+        for s in (hand_sample, powerlaw_sample, *_degenerate_samples()):
             rng = np.random.default_rng(4)
             total = s.mass_prefix(s.level)
-            for _ in range(1000):
-                a = sample_loop_point(s, s.level, rng)
+            pts = [sample_loop_point(s, s.level, rng) for _ in range(1000)]
+            for a in pts + _corner_points(s):
                 lm = left_mass(s, s.level, a)
                 rm = right_mass(s, s.level, a)
                 fm = front_mass(s, s.level, a)
                 assert lm + rm + fm == pytest.approx(total, abs=1e-9)
+
+    def test_partition_near_atom_glues(self):
+        # points within 1e-13 of a glue point that sits on an atom take the
+        # atom's coordinate
+        spec = ThetaSpec.power_law(1.5, 10, theta0=0.3)
+        for seed in range(3):
+            s = sample_icrt(spec, seed, StopRule(max_level=6.0))
+            total = s.mass_prefix(s.level)
+            glues = s.skeleton.glues.tolist()
+            on_atoms = [g for g in glues if s.atom_at(g) is not None]
+            assert on_atoms
+            for g in on_atoms:
+                for x in (g - 1e-13, g + 1e-13):
+                    for u in np.linspace(0.0, 1.0, 9).tolist():
+                        parts = sum(
+                            f(s, s.level, (x, u))
+                            for f in (left_mass, right_mass, front_mass)
+                        )
+                        assert parts == pytest.approx(total, abs=1e-9)
+                    assert s.snap(x) == g
 
     def test_front_zero_for_generic_points(self, powerlaw_sample):
         s = powerlaw_sample
