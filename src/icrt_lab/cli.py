@@ -166,7 +166,7 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     spec = _theta_from_args(args)
     sample = sample_icrt(spec, seed, _stop_from_args(args))
-    payload = json.loads(sample.to_json())
+    payload = sample.to_dict()
     payload["config"] = _config_echo(args)
     payload["version"] = __version__
     _emit(args, payload, "icrt_sample.json")

@@ -6,12 +6,19 @@ process of rate ``mu[0,l] dl`` by exact inversion of the cumulative rate),
 glue points (draws from the normalized restricted measure) and uniform
 angles.  One master seed fans out into named substreams so adding queries
 never perturbs earlier draws.
+
+Each stage takes its draws in batches: the cut exponentials in blocks, the
+glue uniforms in one array.  A batch gives the same numbers as the scalar
+calls it replaces, and every draw is then inverted by one scalar routine
+(``next_cut`` for cuts, ``MeasureState._invert`` for positions) working on
+list copies of the atom tables, so seeded samples are bit-identical to
+draw-by-draw sampling.
 """
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,13 +95,15 @@ class MeasureState:
         self.xs_sorted = self.xs[order]
         self.ws_sorted = self.ws[order]
         self.cum_sorted = np.concatenate([[0.0], np.cumsum(self.ws_sorted)])
+        # list copies: scalar lookups on lists are several times cheaper
+        self._xs = self.xs_sorted.tolist()
+        self._cum = self.cum_sorted.tolist()
 
     def mass_prefix(self, l: float) -> float:
         """mu[0, l]."""
         if l < 0:
             raise SamplerError("negative truncation level")
-        i = int(np.searchsorted(self.xs_sorted, l, side="right"))
-        return self.theta0_sq * l + float(self.cum_sorted[i])
+        return self.theta0_sq * l + self._cum[bisect_right(self._xs, l)]
 
     def mass_interval(self, a: float, b: float) -> float:
         """mu(a, b]."""
@@ -104,50 +113,58 @@ class MeasureState:
         """Lambda(l) = integral of mu[0, s] ds over [0, l]."""
         if l < 0:
             raise SamplerError("negative level")
-        i = int(np.searchsorted(self.xs_sorted, l, side="right"))
-        atom_part = float(np.sum(self.ws_sorted[:i] * (l - self.xs_sorted[:i])))
+        i = bisect_right(self._xs, l)
+        # numpy's pairwise sum, which a running sum would not match bit for
+        # bit; with no atom below l it is 0.0 and is skipped
+        atom_part = (
+            float(np.sum(self.ws_sorted[:i] * (l - self.xs_sorted[:i]))) if i else 0.0
+        )
         return 0.5 * self.theta0_sq * l * l + atom_part
 
     def next_cut(self, l0: float, e: float) -> float:
         """Solve Lambda(l) = Lambda(l0) + e exactly, piece by piece."""
         lam = self.cumulative_rate(l0)
         target = lam + e
-        i = int(np.searchsorted(self.xs_sorted, l0, side="right"))
+        xs, cum = self._xs, self._cum
+        i = bisect_right(xs, l0)
         cur = l0
-        rate = self.theta0_sq * cur + float(self.cum_sorted[i])
-        while True:
-            nb = self.xs_sorted[i] if i < self.xs_sorted.size else math.inf
-            if math.isfinite(nb):
-                d = nb - cur
-                lam_end = lam + rate * d + 0.5 * self.theta0_sq * d * d
-                if lam_end < target:
-                    lam = lam_end
-                    cur = nb
-                    rate = self.theta0_sq * cur + float(self.cum_sorted[i + 1])
-                    i += 1
-                    continue
-            need = target - lam
-            if self.theta0_sq > 0:
-                disc = rate * rate + 2.0 * self.theta0_sq * need
-                return cur + (math.sqrt(disc) - rate) / self.theta0_sq
-            if rate <= 0:
-                raise SamplerError("measure is zero beyond current level; no next cut")
-            return cur + need / rate
+        rate = self.theta0_sq * cur + cum[i]
+        while i < len(xs) and math.isfinite(xs[i]):
+            nb = xs[i]
+            d = nb - cur
+            lam_end = lam + rate * d + 0.5 * self.theta0_sq * d * d
+            if not lam_end < target:
+                break
+            lam = lam_end
+            cur = nb
+            rate = self.theta0_sq * cur + cum[i + 1]
+            i += 1
+        need = target - lam
+        if self.theta0_sq > 0:
+            disc = rate * rate + 2.0 * self.theta0_sq * need
+            return cur + (math.sqrt(disc) - rate) / self.theta0_sq
+        if rate <= 0:
+            raise SamplerError("measure is zero beyond current level; no next cut")
+        return cur + need / rate
 
     def draw_position(self, l: float, rng: np.random.Generator) -> float:
         """One draw from mu restricted to [0, l], normalized."""
+        return self._invert(l, rng.random())
+
+    def _invert(self, l: float, u: float) -> float:
+        """The point of mu restricted to [0, l] at quantile u in [0, 1):
+        the Lebesgue part first, then the atoms in position order."""
         tot = self.mass_prefix(l)
         if tot <= 0:
             raise SamplerError("cannot draw from a zero measure")
-        r = rng.random() * tot
+        r = u * tot
         leb = self.theta0_sq * l
         if r < leb:
             return r / self.theta0_sq
         r -= leb
-        i = int(np.searchsorted(self.xs_sorted, l, side="right"))
-        j = int(np.searchsorted(self.cum_sorted[1 : i + 1], r, side="right"))
-        j = min(j, i - 1)
-        return float(self.xs_sorted[j])
+        i = bisect_right(self._xs, l)
+        j = bisect_right(self._cum, r, 1, i + 1) - 1
+        return self._xs[min(j, i - 1)]
 
 
 def sample_atoms(spec: ThetaSpec, rng: np.random.Generator) -> MeasureState:
@@ -252,8 +269,8 @@ def sample_cuts(
     cur = 0.0
     # branch count = cuts + 1 once the level cut closes the last segment
     budget = SAFETY_CAP if stop.max_branches is None else stop.max_branches
-    for _ in range(SAFETY_CAP):
-        y = measure.next_cut(cur, rng.exponential())
+    for _, e in zip(range(SAFETY_CAP), _exponentials(rng)):
+        y = measure.next_cut(cur, e)
         if stop.max_level is not None and y > stop.max_level:
             return np.asarray(cuts)
         cuts.append(y)
@@ -263,11 +280,22 @@ def sample_cuts(
     raise SamplerError("stop rule not reached within safety cap")
 
 
+def _exponentials(rng: np.random.Generator):
+    """The scalar `rng.exponential()` stream, drawn in growing blocks; the
+    unused tail of the last block is dropped with the generator."""
+    size = 16
+    while True:
+        yield from rng.exponential(size=size).tolist()
+        size = min(2 * size, 4096)
+
+
 def sample_glue(
     measure: MeasureState, cuts, rng: np.random.Generator
 ) -> np.ndarray:
     """Glue points Z_i drawn from mu restricted to [0, Y_i], normalized."""
-    return np.asarray([measure.draw_position(float(y), rng) for y in cuts])
+    cuts = np.asarray(cuts, dtype=float).tolist()
+    us = rng.random(len(cuts)).tolist()
+    return np.asarray([measure._invert(y, u) for y, u in zip(cuts, us)])
 
 
 @dataclass
@@ -317,22 +345,24 @@ class IcrtSample:
 
     def _build_index(self):
         sk = self.skeleton
-        self.atom_index_at: dict[float, int] = {}
-        by_branch: list[list] = [[] for _ in range(sk.n_branches)]
-        for i in range(self.measure.xs.size):
-            x = float(self.measure.xs[i])
-            if x <= self.level + POINT_TOL:
-                self.atom_index_at[x] = i
-                by_branch[sk.branch_of(x)].append((x, i))
+        xs = self.measure.xs
+        idx = np.nonzero(xs <= self.level + POINT_TOL)[0]
+        pos = xs[idx]
+        self.atom_index_at: dict[float, int] = dict(zip(pos.tolist(), idx.tolist()))
         self._atom_list = sorted(self.atom_index_at)  # for bisect in snap
-        self.branch_atoms_pos: list[np.ndarray] = []
-        self.branch_atoms_idx: list[np.ndarray] = []
-        for b in range(sk.n_branches):
-            by_branch[b].sort()
-            self.branch_atoms_pos.append(np.asarray([p for p, _ in by_branch[b]]))
-            self.branch_atoms_idx.append(
-                np.asarray([i for _, i in by_branch[b]], dtype=int)
-            )
+        # per branch, its atoms by position: read-only views of one sorted
+        # pair of arrays; branches without atoms share one empty pair
+        br = sk.branches_of(pos)
+        order = np.lexsort((idx, pos, br))
+        br, pos, idx = br[order], pos[order], idx[order]
+        pos.flags.writeable = idx.flags.writeable = False
+        self.branch_atoms_pos: list[np.ndarray] = [pos[:0]] * sk.n_branches
+        self.branch_atoms_idx: list[np.ndarray] = [idx[:0]] * sk.n_branches
+        bs, starts = np.unique(br, return_index=True)
+        starts = starts.tolist()
+        for b, s, e in zip(bs.tolist(), starts, [*starts[1:], br.size]):
+            self.branch_atoms_pos[b] = pos[s:e]
+            self.branch_atoms_idx[b] = idx[s:e]
 
     # ------------------------------------------------------------------
     def snap(self, pos: float) -> float:
@@ -362,29 +392,22 @@ class IcrtSample:
         return self.measure.mass_prefix(l)
 
     # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        sk = self.skeleton
-        n_glued = sk.glues.size
-        raw_cuts = sk.cuts.tolist()
-        obj = {
+    def to_dict(self) -> dict:
+        """The sample as plain JSON types; `from_json` reads it back."""
+        m, sk, ang = self.measure, self.skeleton, self.angles
+        atoms = zip(m.xs.tolist(), m.ws.tolist(), ang.atom_angles.tolist())
+        glues = zip(sk.glues.tolist(), ang.glue_angles.tolist())
+        return {
             "theta0": self.spec.theta0,
-            "atoms": [
-                {
-                    "x": float(self.measure.xs[i]),
-                    "theta": float(self.measure.ws[i]),
-                    "u": float(self.angles.atom_angles[i]),
-                }
-                for i in range(self.measure.xs.size)
-            ],
-            "cuts": raw_cuts,
-            "glues": [
-                {"z": float(sk.glues[i]), "u": float(self.angles.glue_angles[i])}
-                for i in range(n_glued)
-            ],
+            "atoms": [{"x": x, "theta": w, "u": u} for x, w, u in atoms],
+            "cuts": sk.cuts.tolist(),
+            "glues": [{"z": z, "u": u} for z, u in glues],
             "seed": self.seed,
             "level": self.level,
         }
-        return json.dumps(obj)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "IcrtSample":

@@ -41,9 +41,10 @@ def validate_cut_glue(cuts, glues) -> None:
     bad = np.nonzero(np.diff(cuts) <= 0)[0]
     if bad.size:
         raise SkeletonError(f"cuts must be strictly increasing (index {bad[0] + 1})")
-    for i, z in enumerate(glues):
-        if z < -POINT_TOL or z > cuts[i] + POINT_TOL:
-            raise SkeletonError(f"glue {i + 1} out of range: z={z} > y={cuts[i]}")
+    bad = np.nonzero((glues < -POINT_TOL) | (glues > cuts[:-1] + POINT_TOL))[0]
+    if bad.size:
+        i = bad[0]
+        raise SkeletonError(f"glue {i + 1} out of range: z={glues[i]} > y={cuts[i]}")
 
 
 @dataclass(frozen=True)
@@ -89,18 +90,21 @@ class Skeleton:
         # list copies: scalar lookups on lists are several times cheaper
         self._cut_list = self.cuts.tolist()
         self._glue_list = self.glue_pos.tolist()
-        self.parent = np.full(n, -1, dtype=int)
-        self.attach_depth = np.zeros(n)
-        for b in range(1, n):
-            p = self.branch_of(self.glue_pos[b])
-            if p >= b:
-                raise SkeletonError(f"glue {b} does not land on an earlier branch")
-            self.parent[b] = p
-            self.attach_depth[b] = self.depth(self.glue_pos[b])
+        self.parent = np.concatenate([[-1], self.branches_of(self.glues)])
+        bad = np.nonzero(self.parent >= np.arange(n))[0]
+        if bad.size:
+            raise SkeletonError(f"glue {bad[0]} does not land on an earlier branch")
+        self._parent_list = parent = self.parent.tolist()
+        # one pass in branch order: a parent's depth is known before its
+        # children's, and each step is the float arithmetic of depth(glue)
+        lo, glue = self.lo.tolist(), self._glue_list
+        depth = [0.0] * n
         self.children: list[list[int]] = [[] for _ in range(n)]
         for b in range(1, n):
-            self.children[self.parent[b]].append(b)
-        self._parent_list = self.parent.tolist()
+            p = parent[b]
+            depth[b] = depth[p] + max(glue[b] - lo[p], 0.0)
+            self.children[p].append(b)
+        self.attach_depth = np.asarray(depth)
         self.max_depth = float(np.max(self.attach_depth + (self.hi - self.lo)))
 
     # ------------------------------------------------------------------
@@ -119,6 +123,19 @@ class Skeleton:
         if j > 0 and p - self._cut_list[j - 1] <= POINT_TOL:
             return j - 1
         return j
+
+    def branches_of(self, ps) -> np.ndarray:
+        """`branch_of` for an array of points: the same rule, one
+        searchsorted."""
+        ps = np.asarray(ps, dtype=float)
+        inside = (ps >= -POINT_TOL) & (ps <= self.total_length + POINT_TOL)
+        if not np.all(inside):
+            p = ps[np.argmin(inside)]
+            raise SkeletonError(f"point {p} outside [0, {self.total_length}]")
+        ps = np.clip(ps, 0.0, self.total_length)
+        j = np.searchsorted(self.cuts, ps, side="left")
+        below = self.cuts[np.maximum(j - 1, 0)]
+        return np.where((j > 0) & (ps - below <= POINT_TOL), j - 1, j)
 
     def depth(self, p: float) -> float:
         """Root distance d_T(0, p)."""

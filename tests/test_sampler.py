@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -248,6 +249,35 @@ class TestPipeline:
             with pytest.raises(SamplerError, match="max_level"):
                 StopRule(max_level=bad)
 
+    # sha256 of to_json() (first 16 hex digits) for seeds 0-4, recorded
+    # with the draw-by-draw sampler; batching the draws must not move a bit
+    PINNED = {
+        "power law, theta0 0.3, level 6": (
+            ThetaSpec.power_law(1.5, 10, theta0=0.3),
+            StopRule(max_level=6.0),
+            ["108a025a882be869", "655e2ab24a9b119a", "ca74347fff260b96",
+             "2a6e8ca6bb93afab", "882fdee99917cb6a"],
+        ),
+        "two atoms, theta0 0, level 20": (
+            ThetaSpec(0.0, (0.8, 0.6)),
+            StopRule(max_level=20.0),
+            ["e077721415de4f70", "af44caf400bf650f", "eae0a78835cfb63f",
+             "8cfd0fc3d115021b", "c2d5adc7da7f45b8"],
+        ),
+        "power law, 40 branches": (
+            ThetaSpec.power_law(1.5, 200),
+            StopRule(max_branches=40),
+            ["fa73420a7df62d99", "d59e828cdb90acc3", "a9034ce7c16f37f8",
+             "7772b03424c6915c", "7f96f00dbe30566e"],
+        ),
+        "brownian, level 64": (
+            ThetaSpec.brownian(),
+            StopRule(max_level=64.0),
+            ["dc378678d83e570f", "be34c539871f7619", "c2b9e6e6058b7b67",
+             "8d4e24797b833191", "2063a033e0600742"],
+        ),
+    }
+
     def test_seed_reproducibility_bitwise(self):
         spec = ThetaSpec.power_law(1.5, 40, theta0=0.3)
         a = sample_icrt(spec, 123, StopRule(max_level=5.0))
@@ -255,6 +285,29 @@ class TestPipeline:
         assert a.to_json() == b.to_json()
         c = sample_icrt(spec, 124, StopRule(max_level=5.0))
         assert a.to_json() != c.to_json()
+        for name, (spec, stop, digests) in self.PINNED.items():
+            got = [
+                hashlib.sha256(sample_icrt(spec, seed, stop).to_json().encode())
+                .hexdigest()[:16]
+                for seed in range(5)
+            ]
+            assert got == digests, name
+
+    def test_atom_index_matches_branch_of(self):
+        spec = ThetaSpec.power_law(1.5, 60, theta0=0.4)
+        for seed in range(3):
+            s = sample_icrt(spec, seed, StopRule(max_level=6.0))
+            sk = s.skeleton
+            want = [[] for _ in range(sk.n_branches)]
+            for i, x in enumerate(s.measure.xs.tolist()):
+                if x <= s.level:
+                    want[sk.branch_of(x)].append((x, i))
+            assert s.atom_index_at == {x: i for b in want for x, i in b}
+            for b in range(sk.n_branches):
+                assert s.branch_atoms_pos[b].tolist() == [x for x, _ in sorted(want[b])]
+                assert s.branch_atoms_idx[b].tolist() == [i for _, i in sorted(want[b])]
+                assert not s.branch_atoms_pos[b].flags.writeable
+                assert not s.branch_atoms_idx[b].flags.writeable
 
     def test_json_round_trip(self):
         spec = ThetaSpec.power_law(1.5, 15, theta0=0.5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from icrt_lab import Skeleton, SkeletonError
+from icrt_lab.skeleton import POINT_TOL
 
 
 def dt_reference(cuts, glues, x, y):
@@ -315,6 +316,32 @@ class TestRootPathWalk:
                         assert line[-1] == (bm, exit_x, child)
                         assert all(b > bm for b, _, _ in line[:-1])
                         assert line == list(sk.ascend(x))[: len(line)]
+
+    def test_branches_of_matches_branch_of(self, skeleton_fixture):
+        rng = np.random.default_rng(9)
+        for sk, cuts, glues in walk_cases(skeleton_fixture):
+            tol = POINT_TOL
+            near = [y + d for y in cuts for d in (-2 * tol, -tol / 2, tol / 2, 2 * tol)]
+            pts = [0.0, sk.total_length, *cuts, *near, *rng.uniform(0, cuts[-1], 200)]
+            pts = [p for p in pts if -tol <= p <= sk.total_length + tol]
+            got = sk.branches_of(pts)
+            assert got.tolist() == [sk.branch_of(p) for p in pts]
+        with pytest.raises(SkeletonError, match="outside"):
+            sk.branches_of([0.5, sk.total_length + 1.0])
+
+    def test_build_matches_branch_of_loop(self, skeleton_fixture):
+        # parents and attachment depths of the one-pass build, bit for bit
+        # against the per-branch branch_of/depth recursion
+        for sk, cuts, glues in walk_cases(skeleton_fixture):
+            depth = np.zeros(sk.n_branches)
+            kids = [[] for _ in range(sk.n_branches)]
+            for b in range(1, sk.n_branches):
+                p = sk.branch_of(sk.glue_pos[b])
+                depth[b] = depth[p] + max(sk.glue_pos[b] - sk.lo[p], 0.0)
+                kids[p].append(b)
+                assert sk.parent[b] == p
+            assert sk.attach_depth.tolist() == depth.tolist()
+            assert sk.children == kids
 
     def test_degenerate_glues(self):
         sk = Skeleton(*DEGENERATE["glue at 0"])
