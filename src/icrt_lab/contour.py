@@ -1,26 +1,29 @@
 """Finite-truncation contour path and the derived processes.
 
-The contour is represented by a finite table of candidate loop points
-sorted by the contour order, each carrying its exact left fraction.  The
-crucial left-mass bound makes the table a Lipschitz certificate: adjacent
-candidates are at looptree distance at most the total mass times their
-fraction gap, and evaluation at any fraction lands within the reported
-resolution of the true equivalence class.
+The contour is represented by a finite table of candidate loop points,
+each carrying its exact left fraction and ordered by it: the contour point
+at time t is the one with left fraction t.  `compare` settles exact and
+near ties of the fraction, and checks that the contour order agrees with
+the fractions.  The crucial left-mass bound makes the table a Lipschitz
+certificate: adjacent candidates are at looptree distance at most the total
+mass times their fraction gap, and evaluation at any fraction lands within
+the reported resolution of the true equivalence class.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
+from operator import itemgetter
 
 import numpy as np
 
 from .sampler import IcrtSample
 from .plane import (
     LoopPoint,
+    Order,
+    compare,
     left_fraction,
     lukasiewicz_value,
-    order_cmp,
     sample_loop_point,
 )
 from .fields import FieldRealization
@@ -29,6 +32,10 @@ from .util import fmt17
 
 class ContourError(ValueError):
     pass
+
+
+# relations under which the first point comes first in the contour order
+_FIRST = (Order.LEFT, Order.FRONT)
 
 
 @dataclass
@@ -82,8 +89,21 @@ def build_contour_table(
             cands.add((p.pos, p.angle))
 
     points = [LoopPoint(*c) for c in cands]
-    points.sort(key=cmp_to_key(order_cmp(sample)))
-    ts = np.asarray([left_fraction(sample, level, p) for p in points])
+    rows = sorted(
+        zip([left_fraction(sample, level, p) for p in points], points),
+        key=itemgetter(0),
+    )
+    # one insertion pass: compare moves a point left only at a tie of the
+    # fractions; a move across a larger gap means the two disagree
+    for i in range(1, len(rows)):
+        j = i
+        while j > 0 and compare(sample, rows[j][1], rows[j - 1][1]) in _FIRST:
+            if rows[j][0] - rows[j - 1][0] > 1e-9:
+                raise ContourError("left fractions disagree with the contour order")
+            rows[j - 1], rows[j] = rows[j], rows[j - 1]
+            j -= 1
+    points = [p for _, p in rows]
+    ts = np.asarray([t for t, _ in rows])
     gaps = np.diff(ts)
     if gaps.size and float(np.min(gaps)) < -1e-9:
         raise ContourError("left fractions disagree with the contour order")
@@ -102,14 +122,9 @@ def contour_eval(table: ContourTable, t: float) -> LoopPoint:
 def _eval_indices(table: ContourTable, times) -> np.ndarray:
     ts = table.ts
     idx = np.searchsorted(ts, np.asarray(times, dtype=float), side="right") - 1
-    idx = np.maximum(idx, 0)
-    out = np.empty(idx.size, dtype=int)
-    for j, k in enumerate(idx):
-        k = int(k)
-        while k > 0 and ts[k - 1] == ts[k]:
-            k -= 1
-        out[j] = k
-    return out
+    # the earliest candidate of the run of equal fractions at each index
+    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
+    return starts[np.searchsorted(starts, np.maximum(idx, 0), side="right") - 1]
 
 
 def height_eval(table: ContourTable, t: float) -> float:

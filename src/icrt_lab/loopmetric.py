@@ -24,9 +24,10 @@ def _bridge_var(u: float, v: float) -> float:
     return d * (1.0 - d)
 
 
-def _pair_walk(sample: IcrtSample, alpha, beta):
-    """Meet data shared by the metrics: tree distance, per-side atom terms,
-    and the meet atom's two angles (or None)."""
+def _path_sum(sample: IcrtSample, alpha, beta, tree, kernel) -> float:
+    """tree(theta0^2, tree distance) plus the atom terms of the geodesic:
+    weight times kernel(angle, 0) on either side of the meet, and weight
+    times kernel of the meet atom's two angles."""
     a = _check_loop_point(sample, alpha)
     b = _check_loop_point(sample, beta)
     if (b.pos, b.angle) < (a.pos, a.angle):
@@ -38,43 +39,28 @@ def _pair_walk(sample: IcrtSample, alpha, beta):
     terms_a, am = _side_terms(sample, a.pos, a.angle, m, bm)
     terms_b, bm_angle = _side_terms(sample, b.pos, b.angle, m, bm)
     meet_atom = sample.atom_at(m)
-    return d_t, terms_a, terms_b, (meet_atom, am, bm_angle)
+    ws = sample.measure.ws
+    out = tree(sample.measure.theta0_sq, d_t)
+    out += sum(ws[i] * kernel(u, 0.0) for i, u, _ in terms_a)
+    out += sum(ws[i] * kernel(u, 0.0) for i, u, _ in terms_b)
+    if meet_atom is not None:
+        out += ws[meet_atom] * kernel(am, bm_angle)
+    return out
 
 
 def loop_distance(sample: IcrtSample, alpha, beta) -> float:
     """theta0^2/4 times the tree distance plus torus gaps at path atoms."""
-    d_t, ta, tb, (mi, am, bm) = _pair_walk(sample, alpha, beta)
-    ws = sample.measure.ws
-    out = 0.25 * sample.measure.theta0_sq * d_t
-    out += sum(ws[i] * torus_distance(u, 0.0) for i, u, _ in ta)
-    out += sum(ws[i] * torus_distance(u, 0.0) for i, u, _ in tb)
-    if mi is not None:
-        out += ws[mi] * torus_distance(am, bm)
-    return out
+    return _path_sum(sample, alpha, beta, lambda t0, d: 0.25 * t0 * d, torus_distance)
 
 
 def gff_distance(sample: IcrtSample, alpha, beta) -> float:
     """Variance metric: theta0^2/6 tree part plus bridge variances."""
-    d_t, ta, tb, (mi, am, bm) = _pair_walk(sample, alpha, beta)
-    ws = sample.measure.ws
-    out = sample.measure.theta0_sq * d_t / 6.0
-    out += sum(ws[i] * _bridge_var(u, 0.0) for i, u, _ in ta)
-    out += sum(ws[i] * _bridge_var(u, 0.0) for i, u, _ in tb)
-    if mi is not None:
-        out += ws[mi] * _bridge_var(am, bm)
-    return out
+    return _path_sum(sample, alpha, beta, lambda t0, d: t0 * d / 6.0, _bridge_var)
 
 
 def path_mass(sample: IcrtSample, alpha, beta) -> float:
     """mu of the closed geodesic, endpoints included."""
-    d_t, ta, tb, (mi, _, _) = _pair_walk(sample, alpha, beta)
-    ws = sample.measure.ws
-    out = sample.measure.theta0_sq * d_t
-    out += sum(ws[i] for i, _, _ in ta)
-    out += sum(ws[i] for i, _, _ in tb)
-    if mi is not None:
-        out += ws[mi]
-    return out
+    return _path_sum(sample, alpha, beta, lambda t0, d: t0 * d, lambda u, v: 1.0)
 
 
 def loop_distance_bruteforce(sample: IcrtSample, alpha, beta) -> float:

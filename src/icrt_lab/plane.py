@@ -85,18 +85,6 @@ def compare(sample: IcrtSample, alpha, beta) -> Order:
     return Order.LEFT if rank_x < rank_y else Order.RIGHT
 
 
-def order_cmp(sample: IcrtSample):
-    """cmp function for sorting loop points by the contour order."""
-
-    def _cmp(a, b) -> int:
-        out = compare(sample, a, b)
-        if out is Order.EQUAL:
-            return 0
-        return -1 if out in (Order.LEFT, Order.FRONT) else 1
-
-    return _cmp
-
-
 def angle_toward(sample: IcrtSample, x: float, target) -> float:
     """Angle at tree point x of the component containing the target."""
     t = _check_loop_point(sample, target)
@@ -207,13 +195,16 @@ class MassCache:
         wl, ul = ws.tolist(), sample.angles.atom_angles.tolist()
         glue = sk.glue_pos.tolist()
 
-        # atoms within the level; children sorted by glue position
-        a_idx, kids = [], []
+        # atoms within the level; children in branch order, then sorted by
+        # glue position
+        kids = [[] for _ in range(nb)]
+        for c, p in enumerate(sk.parent[1:nb].tolist(), 1):
+            kids[p].append(c)
+        a_idx = []
         for b in range(nb):
             k = bisect_right(sample.branch_atoms_pos[b], l)
             a_idx.append(sample.branch_atoms_idx[b][:k])
-            cs = [c for c in sk.children[b] if c < nb]
-            kids.append(sorted(cs, key=glue.__getitem__))
+            kids[b].sort(key=glue.__getitem__)
 
         # subtree masses, leaves first
         self.mass_sub = np.zeros(nb)

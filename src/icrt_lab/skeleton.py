@@ -99,11 +99,9 @@ class Skeleton:
         # children's, and each step is the float arithmetic of depth(glue)
         lo, glue = self.lo.tolist(), self._glue_list
         depth = [0.0] * n
-        self.children: list[list[int]] = [[] for _ in range(n)]
         for b in range(1, n):
             p = parent[b]
             depth[b] = depth[p] + max(glue[b] - lo[p], 0.0)
-            self.children[p].append(b)
         self.attach_depth = np.asarray(depth)
         self.max_depth = float(np.max(self.attach_depth + (self.hi - self.lo)))
 

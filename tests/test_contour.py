@@ -1,8 +1,15 @@
+from functools import cmp_to_key
+
 import numpy as np
 import pytest
 
+import icrt_lab.contour
 from icrt_lab import (
     FieldRealization,
+    Order,
+    StopRule,
+    ThetaSpec,
+    compare,
     build_contour_table,
     contour_eval,
     height_eval,
@@ -11,11 +18,13 @@ from icrt_lab import (
     loop_distance,
     lukasiewicz_eval,
     process_grid,
+    sample_icrt,
     sample_loop_point,
     snake_eval,
 )
 from icrt_lab.contour import (
     ContourError,
+    _eval_indices,
     export_process_csv,
     modulus_vs_distance,
     polyline_svg,
@@ -35,6 +44,32 @@ def mixed_table(powerlaw_sample):
     return build_contour_table(
         powerlaw_sample, resolution=1500, rng=keyed_generator(2, 2)
     )
+
+
+@pytest.fixture(scope="module")
+def tied_tables():
+    """theta0 = 0 tables: points on distinct branches can share a fraction."""
+    spec = ThetaSpec.power_law(1.5, 50)
+    return [
+        build_contour_table(
+            sample_icrt(spec, seed, StopRule(max_branches=40)),
+            resolution=500,
+            rng=keyed_generator(seed, 7),
+        )
+        for seed in (0, 1)
+    ]
+
+
+def _contour_sorted(sample, points):
+    """Oracle: the points sorted by a comparator built from compare."""
+
+    def cmp(a, b):
+        out = compare(sample, a, b)
+        if out is Order.EQUAL:
+            return 0
+        return -1 if out in (Order.LEFT, Order.FRONT) else 1
+
+    return sorted(points, key=cmp_to_key(cmp))
 
 
 class TestTable:
@@ -71,6 +106,35 @@ class TestTable:
                 assert d <= 1e-9
         assert ties >= 1  # the root corner ties with the atom fiber at angle 0
 
+    def test_order_matches_comparator_sort(
+        self, tied_tables, brownian_sample, cycle_table
+    ):
+        brownian_table = build_contour_table(
+            brownian_sample, resolution=500, rng=keyed_generator(3, 3)
+        )
+        for tab in (*tied_tables, brownian_table, cycle_table):
+            assert tab.points == _contour_sorted(tab.sample, tab.points)
+        for tab in tied_tables:
+            assert np.count_nonzero(np.diff(tab.ts) == 0.0) >= 1
+
+    def test_disagreeing_fractions_rejected(self, hand_sample, monkeypatch):
+        calls = []
+
+        def counting_compare(sample, a, b):
+            calls.append(1)
+            return compare(sample, a, b)
+
+        def flipped(sample, l, p):
+            return 1.0 - left_fraction(sample, l, p)
+
+        n = len(build_contour_table(hand_sample))
+        monkeypatch.setattr(icrt_lab.contour, "left_fraction", flipped)
+        monkeypatch.setattr(icrt_lab.contour, "compare", counting_compare)
+        with pytest.raises(ContourError, match="disagree"):
+            build_contour_table(hand_sample)
+        # the first move across a real gap stops the pass
+        assert len(calls) < 10 < n
+
     def test_degenerate_measure_rejected(self, powerlaw_sample):
         with pytest.raises(ContourError):
             build_contour_table(powerlaw_sample, l=0.0)
@@ -92,6 +156,16 @@ class TestEval:
     def test_out_of_range(self, cycle_table):
         with pytest.raises(ContourError):
             contour_eval(cycle_table, 1.5)
+
+    def test_earliest_of_equal_run(self, tied_tables, cycle_table):
+        for tab in (*tied_tables, cycle_table):
+            times = np.r_[tab.ts, np.linspace(0.0, 1.0, 1001)]
+            want = np.searchsorted(tab.ts, times, side="right") - 1
+            for j, k in enumerate(np.maximum(want, 0)):
+                while k > 0 and tab.ts[k - 1] == tab.ts[k]:
+                    k -= 1
+                want[j] = k
+            assert _eval_indices(tab, times).tolist() == want.tolist()
 
     def test_round_trip(self, mixed_table, powerlaw_sample):
         s = powerlaw_sample

@@ -20,7 +20,7 @@ from icrt_lab import (
     sample_icrt,
     sample_loop_point,
 )
-from icrt_lab.plane import PlaneError, monte_carlo_left_mass, order_cmp
+from icrt_lab.plane import PlaneError, monte_carlo_left_mass
 
 
 def _degenerate_samples():
@@ -267,6 +267,12 @@ class TestSorting:
         pts = [sample_loop_point(s, 3.0, rng) for _ in range(60)]
         from functools import cmp_to_key
 
-        pts.sort(key=cmp_to_key(order_cmp(s)))
+        def cmp(a, b):
+            out = compare(s, a, b)
+            if out is Order.EQUAL:
+                return 0
+            return -1 if out in (Order.LEFT, Order.FRONT) else 1
+
+        pts.sort(key=cmp_to_key(cmp))
         fr = [left_fraction(s, 3.0, p) for p in pts]
         assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
