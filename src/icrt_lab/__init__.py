@@ -27,6 +27,7 @@ from .plane import (
     compare,
     front_mass,
     left_fraction,
+    left_fractions,
     left_mass,
     lukasiewicz_value,
     right_mass,

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .sampler import (
     AngleTable,
@@ -352,6 +351,8 @@ def reroot_test(
         yi = 0.0 if i == 0 else float(s.skeleton.cuts[i - 1])
         yj = 0.0 if j == 0 else float(s.skeleton.cuts[j - 1])
         pairs.append(float(loop_distance(s, (yi, 0.0), (yj, 0.0))))
+    from scipy import stats  # slow to import; only these KS tests use it
+
     res = stats.ks_2samp(base, pairs)
     return TestReport(
         name="reroot-identity",
@@ -404,6 +405,8 @@ def permutation_invariance_test(
         return np.asarray(dts), np.asarray(hits)
     d_a, h_a = collect(11, 0, 1)
     d_b, h_b = collect(12, 1, 2)
+    from scipy import stats
+
     res = stats.ks_2samp(d_a, d_b)
     rate_ok = True
     rates = []
@@ -510,6 +513,8 @@ def uniformity_test(
         s = _sample_with(spec, sd, stop, corrupt)
         a = sample_loop_point(s, s.level, draws)
         vals.append(left_fraction(s, s.level, a))
+    from scipy import stats
+
     res = stats.kstest(vals, "uniform")
     return TestReport(
         name="left-fraction-uniformity",

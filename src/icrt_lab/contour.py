@@ -2,18 +2,20 @@
 
 The contour is represented by a finite table of candidate loop points,
 each carrying its exact left fraction and ordered by it: the contour point
-at time t is the one with left fraction t.  `compare` settles exact and
-near ties of the fraction, and checks that the contour order agrees with
-the fractions.  The crucial left-mass bound makes the table a Lipschitz
-certificate: adjacent candidates are at looptree distance at most the total
-mass times their fraction gap, and evaluation at any fraction lands within
-the reported resolution of the true equivalence class.
+at time t is the one with left fraction t.  The candidates are validated
+once and their fractions computed in one batched pass (`left_fractions`,
+equal to the scalar `left_fraction` bit for bit).  `compare_canonical`
+then settles exact and near ties of the fraction on the validated copies,
+and checks that the contour order agrees with the fractions.  The crucial
+left-mass bound makes the table a Lipschitz certificate: adjacent
+candidates are at looptree distance at most the total mass times their
+fraction gap, and evaluation at any fraction lands within the reported
+resolution of the true equivalence class.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -21,9 +23,13 @@ from .sampler import IcrtSample
 from .plane import (
     LoopPoint,
     Order,
-    compare,
-    left_fraction,
+    _check_loop_point,
+    _check_loop_points,
+    _lukasiewicz,
+    compare_canonical,
+    left_fractions,
     lukasiewicz_value,
+    path_atom_angles,
     sample_loop_point,
 )
 from .fields import FieldRealization
@@ -89,21 +95,25 @@ def build_contour_table(
             cands.add((p.pos, p.angle))
 
     points = [LoopPoint(*c) for c in cands]
-    rows = sorted(
-        zip([left_fraction(sample, level, p) for p in points], points),
-        key=itemgetter(0),
-    )
+    # each point validated and snapped once; the fractions and the order
+    # are computed on these copies, the table keeps the candidates
+    pos, ang = _check_loop_points(sample, points, level)
+    canon = list(map(LoopPoint, pos.tolist(), ang.tolist()))
+    fr = left_fractions(sample, level, canon)
+    order = np.argsort(fr, kind="stable").tolist()
+    fr = fr.tolist()
+    rows = [(fr[k], points[k], canon[k]) for k in order]
     # one insertion pass: compare moves a point left only at a tie of the
     # fractions; a move across a larger gap means the two disagree
     for i in range(1, len(rows)):
         j = i
-        while j > 0 and compare(sample, rows[j][1], rows[j - 1][1]) in _FIRST:
+        while j > 0 and compare_canonical(sample, rows[j][2], rows[j - 1][2]) in _FIRST:
             if rows[j][0] - rows[j - 1][0] > 1e-9:
                 raise ContourError("left fractions disagree with the contour order")
             rows[j - 1], rows[j] = rows[j], rows[j - 1]
             j -= 1
-    points = [p for _, p in rows]
-    ts = np.asarray([t for t, _ in rows])
+    points = [p for _, p, _ in rows]
+    ts = np.asarray([t for t, _, _ in rows])
     gaps = np.diff(ts)
     if gaps.size and float(np.min(gaps)) < -1e-9:
         raise ContourError("left fractions disagree with the contour order")
@@ -148,17 +158,21 @@ def process_grid(
     times = np.linspace(0.0, 1.0, n)
     idx = _eval_indices(table, times)
     uniq = sorted(set(int(k) for k in idx))
-    pts = [table.points[k] for k in uniq]
-    sk = table.sample.skeleton
-    h = {k: sk.depth(p.pos) for k, p in zip(uniq, pts)}
-    w = {k: lukasiewicz_value(table.sample, p) for k, p in zip(uniq, pts)}
+    sample = table.sample
+    raw = [table.points[k] for k in uniq]
+    pts = [_check_loop_point(sample, p) for p in raw]
+    # one root-path walk per point, read by both the Lukasiewicz and the
+    # snake column
+    terms = [path_atom_angles(sample, p) for p in raw]
+    h = {k: sample.skeleton.depth(p.pos) for k, p in zip(uniq, raw)}
+    w = {k: _lukasiewicz(sample, *a) for k, a in zip(uniq, zip(pts, terms))}
     out = {
         "t": times,
         "height": np.asarray([h[int(k)] for k in idx]),
         "lukasiewicz": np.asarray([w[int(k)] for k in idx]),
     }
     if realization is not None:
-        f = realization.fennec_values(pts)
+        f = realization._fennec_values(pts, terms)
         z = {k: float(v) for k, v in zip(uniq, f)}
         out["snake"] = np.asarray([z[int(k)] for k in idx])
     return out

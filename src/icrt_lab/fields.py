@@ -155,9 +155,12 @@ class FieldRealization:
     # ------------------------------------------------------------------
     def fennec_values(self, alphas) -> np.ndarray:
         """Combined field at loop points (batch, order-independent)."""
+        pts = [_check_loop_point(self.sample, a) for a in alphas]
+        return self._fennec_values(pts, [path_atom_angles(self.sample, a) for a in pts])
+
+    def _fennec_values(self, pts, per_point) -> np.ndarray:
+        """`fennec_values` of checked points from their `path_atom_angles`."""
         sample = self.sample
-        pts = [_check_loop_point(sample, a) for a in alphas]
-        per_point = [path_atom_angles(sample, a) for a in pts]
         theta0 = math.sqrt(sample.measure.theta0_sq)
         if theta0 > 0:
             g = self.tree_values([a.pos for a in pts])

@@ -4,14 +4,14 @@ Loop points are pairs (tree position, angle).  This module answers angle
 queries, the total contour order (left-of / in-front-of comparison at the
 meet point), and computes the left/front/right mass functionals exactly by
 decomposing the root path, with per-level subtree aggregates cached on the
-sample.
+sample.  `left_fractions` batches the mass walk over many points.
 """
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,28 @@ def _check_loop_point(sample: IcrtSample, alpha, l: float | None = None) -> Loop
     return LoopPoint(sample.snap(pos), angle)
 
 
+def _check_loop_points(sample: IcrtSample, points, l: float | None = None):
+    """`_check_loop_point` for a list of points, as arrays of the snapped
+    positions and the angles; a bad point raises the scalar message."""
+    n = len(points)
+    pos = np.fromiter((p[0] for p in points), float, n)
+    ang = np.fromiter((p[1] for p in points), float, n)
+    limit = sample.level if l is None else l
+    ok = (-POINT_TOL <= pos) & (pos <= limit + POINT_TOL) & (0.0 <= ang) & (ang <= 1.0)
+    if not np.all(ok):
+        _check_loop_point(sample, points[int(np.argmin(ok))], l)
+    # snap: the atom within POINT_TOL, the one below first, as in `snap`
+    xs = np.asarray(sample._atom_list)
+    out = pos
+    if xs.size:
+        j = np.searchsorted(xs, pos, side="left")
+        for k in (j, j - 1):
+            x = xs[np.clip(k, 0, xs.size - 1)]
+            hit = (k >= 0) & (k < xs.size) & (np.abs(x - pos) <= POINT_TOL)
+            out = np.where(hit, x, out)
+    return out, ang
+
+
 # ---------------------------------------------------------------------------
 # order relations
 # ---------------------------------------------------------------------------
@@ -58,8 +80,14 @@ def compare(sample: IcrtSample, alpha, beta) -> Order:
     Angles are compared at the meet; equality of angles with the meet at one
     of the two tree points is the front/behind case.
     """
-    a = _check_loop_point(sample, alpha)
-    b = _check_loop_point(sample, beta)
+    return compare_canonical(
+        sample, _check_loop_point(sample, alpha), _check_loop_point(sample, beta)
+    )
+
+
+def compare_canonical(sample: IcrtSample, a: LoopPoint, b: LoopPoint) -> Order:
+    """`compare` on points that `_check_loop_point` has already validated
+    and snapped."""
     _, px, cx, py, cy = sample.skeleton.meet_walk(a.pos, b.pos)
     # angle and rank of the meet component each side lives in: own point
     # -2, glued branch c >= 0, or continuation -1 when the other side
@@ -145,8 +173,13 @@ def lukasiewicz_value(sample: IcrtSample, alpha) -> float:
     """theta0^2/2 * root depth plus sum of theta_i (1 - angle toward alpha)
     over root-path atoms."""
     a = _check_loop_point(sample, alpha)
+    return _lukasiewicz(sample, a, path_atom_angles(sample, alpha))
+
+
+def _lukasiewicz(sample: IcrtSample, a: LoopPoint, terms) -> float:
+    """`lukasiewicz_value` of a checked point from its `path_atom_angles`."""
     ws = sample.measure.ws
-    tail = sum(ws[i] * (1.0 - u) for i, u in path_atom_angles(sample, alpha))
+    tail = sum(ws[i] * (1.0 - u) for i, u in terms)
     return 0.5 * sample.measure.theta0_sq * sample.skeleton.depth(a.pos) + tail
 
 
@@ -194,11 +227,12 @@ class MassCache:
         ws = sample.measure.ws
         wl, ul = ws.tolist(), sample.angles.atom_angles.tolist()
         glue = sk.glue_pos.tolist()
+        self.parent = sk.parent[:nb].tolist()
 
         # atoms within the level; children in branch order, then sorted by
         # glue position
         kids = [[] for _ in range(nb)]
-        for c, p in enumerate(sk.parent[1:nb].tolist(), 1):
+        for c, p in enumerate(self.parent[1:], 1):
             kids[p].append(c)
         a_idx = []
         for b in range(nb):
@@ -243,7 +277,35 @@ class MassCache:
                 sums = (_event_mass(e, e[1], side) for e in events)
                 cum.append(list(accumulate(sums, initial=0.0)))
 
+        self.lo = sk.lo[:nb].tolist()
+        self._glue = glue[:nb]
+        self._angle = [0.0, *sample.angles.glue_angles[: nb - 1].tolist()]
+        self._steps = {}
+
     # ------------------------------------------------------------------
+    def step(self, b: int, x: float, tau: float, side: str) -> tuple:
+        """The three terms a root-path walk adds on branch b when it reaches
+        x with direction tau: the Lebesgue mass of [lo[b], x], which splits
+        evenly (angle 1/2); the events of b below x (they lie above lo[b],
+        or at the root on branch 0); and the mass at x on that side."""
+        return (
+            0.5 * self.t0 * (x - self.lo[b]),
+            self.cum[side][b][bisect_left(self.pos[b], x)],
+            self.point_mass(b, x, tau, side),
+        )
+
+    def steps(self, side: str) -> list:
+        """Per branch c > 0, the `step` of a walk that comes up through c onto
+        its parent at glue_pos[c]; row 0 is unused."""
+        rows = self._steps.get(side)
+        if rows is None:
+            rows = [(0.0, 0.0, 0.0)] + [
+                self.step(p, self._glue[c], self._angle[c], side)
+                for c, p in enumerate(self.parent[1:], 1)
+            ]
+            self._steps[side] = rows
+        return rows
+
     def mass_above(self, b: int, x: float) -> float:
         """Mass of the continuing component of branch b strictly above x."""
         k = bisect_right(self.pos[b], x)
@@ -280,17 +342,38 @@ def mass_cache(sample: IcrtSample, l: float) -> MassCache:
 def _directional_mass(sample: IcrtSample, l: float, alpha, side: str) -> float:
     a = _check_loop_point(sample, alpha, l)
     mc = mass_cache(sample, l)
-    sk = sample.skeleton
-    cum = mc.cum[side]
+    steps = mc.steps(side)
     total = 0.0
-    for b, cur, child in sk.ascend(a.pos):
-        tau = a.angle if child < 0 else sample.branch_angle(child)
-        # the segment below cur: its Lebesgue mass splits evenly (angle
-        # 1/2), and the walk passes every event of branch b below cur
-        # (events lie above lo[b], or at the root on branch 0)
-        total += 0.5 * mc.t0 * (cur - float(sk.lo[b]))
-        total += cum[b][bisect_left(mc.pos[b], cur)]
-        total += mc.point_mass(b, cur, tau, side)
+    for b, _, child in sample.skeleton.ascend(a.pos):
+        for term in mc.step(b, a.pos, a.angle, side) if child < 0 else steps[child]:
+            total += term
+    return total
+
+
+def _directional_masses(sample: IcrtSample, l: float, points, side: str) -> np.ndarray:
+    """`_directional_mass` of each point, bit for bit: the same terms added
+    in the same order, with the walks above the points' own branches taken
+    together, one level of the step table at a time."""
+    pos, ang = _check_loop_points(sample, points, l)
+    total = np.zeros(pos.size)
+    if not pos.size:
+        return total
+    mc = mass_cache(sample, l)
+    br = sample.skeleton.branches_of(pos)
+    own = (mc.step(*a, side) for a in zip(br.tolist(), pos.tolist(), ang.tolist()))
+    own = np.fromiter(chain.from_iterable(own), float, 3 * pos.size)
+    for term in own.reshape(-1, 3).T:
+        total += term
+    steps = np.array(mc.steps(side)).T
+    parent = np.asarray(mc.parent)
+    idx = np.flatnonzero(br > 0)
+    c = br[idx]
+    while idx.size:
+        for term in steps:
+            total[idx] += term[c]
+        c = parent[c]
+        up = c > 0
+        idx, c = idx[up], c[up]
     return total
 
 
@@ -310,11 +393,22 @@ def front_mass(sample: IcrtSample, l: float, alpha) -> float:
     return mass_cache(sample, l).point_mass(b, a.pos, a.angle, "front")
 
 
-def left_fraction(sample: IcrtSample, l: float, alpha) -> float:
+def _mass_total(sample: IcrtSample, l: float) -> float:
     tot = sample.mass_prefix(l)
     if tot <= 0:
         raise PlaneError("zero total mass at this level")
+    return tot
+
+
+def left_fraction(sample: IcrtSample, l: float, alpha) -> float:
+    tot = _mass_total(sample, l)
     return left_mass(sample, l, alpha) / tot
+
+
+def left_fractions(sample: IcrtSample, l: float, points) -> np.ndarray:
+    """`left_fraction` of each point, bit for bit, in one batched pass."""
+    tot = _mass_total(sample, l)
+    return _directional_masses(sample, l, points, "left") / tot
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import icrt_lab
 from icrt_lab import cli
 from icrt_lab import analysis as an
 
@@ -308,3 +312,16 @@ class TestVerify:
         par2 = run(base + ["--jobs", "2"], tmp_path, "p2.json")[1]
         assert par1.read_bytes() == par2.read_bytes()
         assert json.loads(par1.read_text())["reports"] == serial["reports"]
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # only the verify suites need scipy.stats, which is slow to import
+        src = os.path.dirname(os.path.dirname(icrt_lab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, icrt_lab.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

@@ -31,6 +31,7 @@ from icrt_lab.contour import (
     scatter_svg,
 )
 from icrt_lab.loopmetric import project_loop
+from icrt_lab.plane import compare_canonical, left_fractions
 from icrt_lab.util import keyed_generator
 
 
@@ -122,14 +123,14 @@ class TestTable:
 
         def counting_compare(sample, a, b):
             calls.append(1)
-            return compare(sample, a, b)
+            return compare_canonical(sample, a, b)
 
-        def flipped(sample, l, p):
-            return 1.0 - left_fraction(sample, l, p)
+        def flipped(sample, l, points):
+            return 1.0 - left_fractions(sample, l, points)
 
         n = len(build_contour_table(hand_sample))
-        monkeypatch.setattr(icrt_lab.contour, "left_fraction", flipped)
-        monkeypatch.setattr(icrt_lab.contour, "compare", counting_compare)
+        monkeypatch.setattr(icrt_lab.contour, "left_fractions", flipped)
+        monkeypatch.setattr(icrt_lab.contour, "compare_canonical", counting_compare)
         with pytest.raises(ContourError, match="disagree"):
             build_contour_table(hand_sample)
         # the first move across a real gap stops the pass

@@ -20,7 +20,13 @@ from icrt_lab import (
     sample_icrt,
     sample_loop_point,
 )
-from icrt_lab.plane import PlaneError, monte_carlo_left_mass
+from icrt_lab.plane import (
+    PlaneError,
+    _directional_masses,
+    left_fractions,
+    monte_carlo_left_mass,
+)
+from icrt_lab.skeleton import POINT_TOL
 
 
 def _degenerate_samples():
@@ -239,6 +245,70 @@ class TestMasses:
         x1 = float(cycle_sample.measure.xs[0])
         with pytest.raises(PlaneError):
             left_fraction(cycle_sample, x1 / 2, (x1 / 4, 0.5))
+
+
+def _near_points(sample, l):
+    """Loop points within POINT_TOL of the root, the atoms and the glue
+    points, on both sides of each, inside [0, l]."""
+    sk = sample.skeleton
+    xs = {0.0, *sk.glues.tolist(), *sample.atom_index_at}
+    near = [x + d * POINT_TOL for x in sorted(xs) for d in (-0.9, -0.5, 0.5, 0.9)]
+    near = [x for x in near if -POINT_TOL <= x <= l + POINT_TOL]
+    return [(x, u) for x in near for u in (0.0, 0.3, 1.0)]
+
+
+def _batch_cases(hand_sample, powerlaw_sample, brownian_sample):
+    big = sample_icrt(
+        ThetaSpec.power_law(1.5, 2000, theta0=0.3), 3, StopRule(max_branches=1000)
+    )
+    samples = (hand_sample, powerlaw_sample, brownian_sample, big)
+    for s in (*samples, *_degenerate_samples()):
+        for l in (s.level, 0.5 * s.level):
+            rng = np.random.default_rng(11)
+            pts = [sample_loop_point(s, l, rng) for _ in range(300)]
+            pts += [p for p in _corner_points(s) if p[0] <= l]
+            pts += _near_points(s, l)
+            yield s, l, pts
+
+
+class TestBatch:
+    def test_left_fractions_equal_scalar(
+        self, hand_sample, powerlaw_sample, brownian_sample
+    ):
+        for s, l, pts in _batch_cases(hand_sample, powerlaw_sample, brownian_sample):
+            scalar = [left_fraction(s, l, p) for p in pts]
+            assert left_fractions(s, l, pts).tolist() == scalar
+            # the root corners, whose fraction may round above 1
+            assert left_fractions(s, l, [(0.0, 0.0), (0.0, 1.0)]).tolist() == [
+                left_fraction(s, l, (0.0, 0.0)),
+                left_fraction(s, l, (0.0, 1.0)),
+            ]
+
+    def test_right_masses_equal_scalar(
+        self, hand_sample, powerlaw_sample, brownian_sample
+    ):
+        for s, l, pts in _batch_cases(hand_sample, powerlaw_sample, brownian_sample):
+            scalar = [right_mass(s, l, p) for p in pts]
+            assert _directional_masses(s, l, pts, "right").tolist() == scalar
+
+    def test_empty(self, hand_sample):
+        out = left_fractions(hand_sample, 3.0, [])
+        assert out.shape == (0,) and out.dtype == float
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (3.5, 0.5), (2.0, 0.5), (-1e-9, 0.5), (0.5, 1.5),
+            (0.5, -0.1), (math.nan, 0.5),
+        ],
+    )
+    def test_input_checks(self, hand_sample, bad):
+        # level 1.2: a position of 2.0 lies in the sample but not in [0, l]
+        with pytest.raises(PlaneError) as scalar:
+            left_fraction(hand_sample, 1.2, bad)
+        with pytest.raises(PlaneError) as batch:
+            left_fractions(hand_sample, 1.2, [(0.5, 0.5), bad, (9.0, 9.0)])
+        assert str(batch.value) == str(scalar.value)
 
 
 class TestLukasiewicz:
