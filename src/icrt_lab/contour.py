@@ -165,7 +165,7 @@ def process_grid(
     # snake column
     terms = [path_atom_angles(sample, p) for p in raw]
     h = {k: sample.skeleton.depth(p.pos) for k, p in zip(uniq, raw)}
-    w = {k: _lukasiewicz(sample, *a) for k, a in zip(uniq, zip(pts, terms))}
+    w = {k: _lukasiewicz(sample, a, t) for k, a, t in zip(uniq, pts, terms)}
     out = {
         "t": times,
         "height": np.asarray([h[int(k)] for k in idx]),

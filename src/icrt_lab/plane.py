@@ -356,8 +356,6 @@ def _directional_masses(sample: IcrtSample, l: float, points, side: str) -> np.n
     together, one level of the step table at a time."""
     pos, ang = _check_loop_points(sample, points, l)
     total = np.zeros(pos.size)
-    if not pos.size:
-        return total
     mc = mass_cache(sample, l)
     br = sample.skeleton.branches_of(pos)
     own = (mc.step(*a, side) for a in zip(br.tolist(), pos.tolist(), ang.tolist()))

@@ -265,10 +265,11 @@ def _batch_cases(hand_sample, powerlaw_sample, brownian_sample):
     for s in (*samples, *_degenerate_samples()):
         for l in (s.level, 0.5 * s.level):
             rng = np.random.default_rng(11)
+            marks = [p for p in _corner_points(s) if p[0] <= l] + _near_points(s, l)
+            if len(marks) > 1500:  # the 1000-branch sample: a random subset
+                marks = [marks[k] for k in rng.choice(len(marks), 1500, replace=False)]
             pts = [sample_loop_point(s, l, rng) for _ in range(300)]
-            pts += [p for p in _corner_points(s) if p[0] <= l]
-            pts += _near_points(s, l)
-            yield s, l, pts
+            yield s, l, pts + marks
 
 
 class TestBatch:
