@@ -25,7 +25,7 @@ from .sampler import (
 from .plane import (
     LoopPoint,
     Order,
-    _segment_atoms,
+    PathAtoms,
     compare,
     left_fraction,
     left_mass,
@@ -143,14 +143,15 @@ class LoopCloud:
     padded chain and atom-key matrices.  `dist_to_all` is the cloud's only
     distance path; `loop_distance` is the scalar walk it is tested against."""
 
-    def __init__(self, sample: IcrtSample, l: float, points):
+    def __init__(self, sample: IcrtSample, l: float, points, profiles=None):
         self.sample = sample
         self.level = float(l)
         self.points = [LoopPoint(float(p[0]), float(p[1])) for p in points]
         sk = sample.skeleton
         self.theta0_sq = sample.measure.theta0_sq
         self.depth = np.asarray([sk.depth(p.pos) for p in self.points])
-        self._build_matrices([self._profile(p) for p in self.points])
+        self.profiles = profiles or [self._profile(p) for p in self.points]
+        self._build_matrices(self.profiles)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -191,15 +192,14 @@ class LoopCloud:
         """Root-first chain of branches and their exit positions, and the
         atom records (chain level, atom index, angle toward p, position) as
         rows of a float array."""
-        sample, sk = self.sample, self.sample.skeleton
-        segs = [
-            (b, top, p.angle if child < 0 else sample.branch_angle(child))
-            for b, top, child in sk.ascend(p.pos)
-        ][::-1]
+        pa = PathAtoms.of(self.sample)
+        segs = list(self.sample.skeleton.ascend(p.pos))[::-1]
         atoms = [
             (lvl, i, u, x)
-            for lvl, (b, top, tau) in enumerate(segs)
-            for i, u, x in _segment_atoms(sample, b, float(sk.lo[b]), top, tau)
+            for lvl, (b, top, child) in enumerate(segs)
+            for i, u, x in (
+                pa.rows[child] if child >= 0 else pa.segment(b, pa.lo[b], top, p.angle)
+            )
         ]
         return (
             np.asarray([b for b, _, _ in segs]),
@@ -306,7 +306,9 @@ def local_mass_exponents(
     is estimated from the reference cloud."""
     eps = np.sort(np.asarray(eps_grid, dtype=float))
     total = sample.mass_prefix(l)
-    ref = LoopCloud(sample, l, cloud.points + centers.points)
+    ref = LoopCloud(
+        sample, l, cloud.points + centers.points, cloud.profiles + centers.profiles
+    )
     n_ref = len(cloud)
     exponents, flagged = [], 0
     for c in range(len(centers)):

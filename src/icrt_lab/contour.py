@@ -2,10 +2,11 @@
 
 The contour is represented by a finite table of candidate loop points,
 each carrying its exact left fraction and ordered by it: the contour point
-at time t is the one with left fraction t.  The candidates are validated
+at time t is the one with left fraction t.  The candidates are located
 once and their fractions computed in one batched pass (`left_fractions`,
-equal to the scalar `left_fraction` bit for bit).  `compare_canonical`
-then settles exact and near ties of the fraction on the validated copies,
+equal to the scalar `left_fraction` bit for bit).  One batched check of the
+adjacent pairs (`precedes`) confirms the order; from the first pair out of
+order on, `compare_canonical` settles exact and near ties of the fraction
 and checks that the contour order agrees with the fractions.  The crucial
 left-mass bound makes the table a Lipschitz certificate: adjacent
 candidates are at looptree distance at most the total mass times their
@@ -24,12 +25,13 @@ from .plane import (
     LoopPoint,
     Order,
     _check_loop_point,
-    _check_loop_points,
     _lukasiewicz,
+    path_atom_angles,
     compare_canonical,
     left_fractions,
+    locate,
     lukasiewicz_value,
-    path_atom_angles,
+    precedes,
     sample_loop_point,
 )
 from .fields import FieldRealization
@@ -94,26 +96,34 @@ def build_contour_table(
             p = sample_loop_point(sample, level, rng)
             cands.add((p.pos, p.angle))
 
-    points = [LoopPoint(*c) for c in cands]
-    # each point validated and snapped once; the fractions and the order
-    # are computed on these copies, the table keeps the candidates
-    pos, ang = _check_loop_points(sample, points, level)
-    canon = list(map(LoopPoint, pos.tolist(), ang.tolist()))
-    fr = left_fractions(sample, level, canon)
-    order = np.argsort(fr, kind="stable").tolist()
-    fr = fr.tolist()
-    rows = [(fr[k], points[k], canon[k]) for k in order]
-    # one insertion pass: compare moves a point left only at a tie of the
-    # fractions; a move across a larger gap means the two disagree
-    for i in range(1, len(rows)):
+    # the candidates located once: fractions and order are computed on the
+    # snapped arrays, the table keeps the candidates
+    cands = list(cands)
+    loc = locate(sample, cands, level)
+    fr = left_fractions(sample, level, loc)
+    order = np.argsort(fr, kind="stable")
+    # one batched check of the adjacent pairs; the insertion pass starts at
+    # the first pair out of contour order, as nothing before it moves
+    first = precedes(sample, loc, order[1:], order[:-1])
+    start = 1 + int(np.argmax(np.r_[first, True]))  # len(order) if none
+    order, frs = order.tolist(), fr.tolist()
+    canon = []
+    if start < len(order):
+        canon = list(map(LoopPoint, loc.pos.tolist(), loc.ang.tolist()))
+    # compare moves a point left only at a tie of the fractions; a move
+    # across a larger gap means the two disagree
+    for i in range(start, len(order)):
         j = i
-        while j > 0 and compare_canonical(sample, rows[j][2], rows[j - 1][2]) in _FIRST:
-            if rows[j][0] - rows[j - 1][0] > 1e-9:
+        while j > 0:
+            a, b = order[j], order[j - 1]
+            if compare_canonical(sample, canon[a], canon[b]) not in _FIRST:
+                break
+            if frs[a] - frs[b] > 1e-9:
                 raise ContourError("left fractions disagree with the contour order")
-            rows[j - 1], rows[j] = rows[j], rows[j - 1]
+            order[j - 1], order[j] = a, b
             j -= 1
-    points = [p for _, p, _ in rows]
-    ts = np.asarray([t for t, _, _ in rows])
+    points = [LoopPoint(*cands[k]) for k in order]
+    ts = fr[order]
     gaps = np.diff(ts)
     if gaps.size and float(np.min(gaps)) < -1e-9:
         raise ContourError("left fractions disagree with the contour order")
@@ -156,25 +166,18 @@ def process_grid(
     if n < 2:
         raise ContourError("need at least two grid points")
     times = np.linspace(0.0, 1.0, n)
-    idx = _eval_indices(table, times)
-    uniq = sorted(set(int(k) for k in idx))
+    uniq, inv = np.unique(_eval_indices(table, times), return_inverse=True)
     sample = table.sample
-    raw = [table.points[k] for k in uniq]
+    raw = [table.points[k] for k in uniq.tolist()]
     pts = [_check_loop_point(sample, p) for p in raw]
     # one root-path walk per point, read by both the Lukasiewicz and the
     # snake column
     terms = [path_atom_angles(sample, p) for p in raw]
-    h = {k: sample.skeleton.depth(p.pos) for k, p in zip(uniq, raw)}
-    w = {k: _lukasiewicz(sample, a, t) for k, a, t in zip(uniq, pts, terms)}
-    out = {
-        "t": times,
-        "height": np.asarray([h[int(k)] for k in idx]),
-        "lukasiewicz": np.asarray([w[int(k)] for k in idx]),
-    }
+    h = np.asarray([sample.skeleton.depth(p.pos) for p in raw])
+    w = np.asarray([_lukasiewicz(sample, a, t) for a, t in zip(pts, terms)])
+    out = {"t": times, "height": h[inv], "lukasiewicz": w[inv]}
     if realization is not None:
-        f = realization._fennec_values(pts, terms)
-        z = {k: float(v) for k, v in zip(uniq, f)}
-        out["snake"] = np.asarray([z[int(k)] for k in idx])
+        out["snake"] = realization._fennec_values(pts, terms)[inv]
     return out
 
 

@@ -105,13 +105,16 @@ class FieldRealization:
     def tree_values(self, positions) -> np.ndarray:
         """Tree-field values at real-line positions (batch, any order)."""
         sk = self.sample.skeleton
-        queries = [sk.check_point(float(p)) for p in positions]
+        ps = np.asarray(positions, dtype=float)
+        br = sk.branches_of(ps)  # rejects a point as check_point does
+        ps = np.clip(ps, 0.0, sk.total_length)
+        # each query as its branch and offset on it; the root reads 0
+        off_root = (ps > POINT_TOL).tolist()
+        queries = list(zip(br.tolist(), (ps - sk.lo[br]).tolist(), off_root))
         need: dict[int, set] = {}
-        for p in queries:
-            if p <= POINT_TOL:
-                continue
-            b = sk.branch_of(p)
-            need.setdefault(b, set()).add(p - float(sk.lo[b]))
+        for b, s, keep in queries:
+            if keep:
+                need.setdefault(b, set()).add(s)
         # glue points on the root path of each branch (hi[b] lies on b)
         for b in list(need):
             for a, g, child in sk.ascend(float(sk.hi[b])):
@@ -128,14 +131,9 @@ class FieldRealization:
                 path = _LazyGaussianPath((self.seed, _TREE_TAG, b), base)
                 self._branches[b] = path
             path.insert_batch(need[b])
-        out = np.empty(len(queries))
-        for k, p in enumerate(queries):
-            if p <= POINT_TOL:
-                out[k] = 0.0
-            else:
-                b = sk.branch_of(p)
-                out[k] = self._branches[b].value(p - float(sk.lo[b]))
-        return out
+        return np.asarray(
+            [self._branches[b].value(s) if keep else 0.0 for b, s, keep in queries]
+        )
 
     def tree_value(self, p: float) -> float:
         return float(self.tree_values([p])[0])

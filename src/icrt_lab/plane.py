@@ -4,14 +4,16 @@ Loop points are pairs (tree position, angle).  This module answers angle
 queries, the total contour order (left-of / in-front-of comparison at the
 meet point), and computes the left/front/right mass functionals exactly by
 decomposing the root path, with per-level subtree aggregates cached on the
-sample.  `left_fractions` batches the mass walk over many points.
+sample.  Batches are located once (`locate`): `left_fractions` batches the
+mass walk and `precedes` the order check.  Root-path atom walks read the
+per-edge atom rows of `PathAtoms`.
 """
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -49,9 +51,17 @@ def _check_loop_point(sample: IcrtSample, alpha, l: float | None = None) -> Loop
     return LoopPoint(sample.snap(pos), angle)
 
 
-def _check_loop_points(sample: IcrtSample, points, l: float | None = None):
-    """`_check_loop_point` for a list of points, as arrays of the snapped
-    positions and the angles; a bad point raises the scalar message."""
+class Located(NamedTuple):
+    """Loop points checked once, by `locate`: positions, angles, branches."""
+
+    pos: np.ndarray
+    ang: np.ndarray
+    br: np.ndarray
+
+
+def locate(sample: IcrtSample, points, l: float | None = None) -> Located:
+    """`_check_loop_point` for a list of points, with one branch lookup;
+    a bad point raises the scalar message."""
     n = len(points)
     pos = np.fromiter((p[0] for p in points), float, n)
     ang = np.fromiter((p[1] for p in points), float, n)
@@ -68,7 +78,7 @@ def _check_loop_points(sample: IcrtSample, points, l: float | None = None):
             x = xs[np.clip(k, 0, xs.size - 1)]
             hit = (k >= 0) & (k < xs.size) & (np.abs(x - pos) <= POINT_TOL)
             out = np.where(hit, x, out)
-    return out, ang
+    return Located(out, ang, sample.skeleton.branches_of(out))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +123,27 @@ def compare_canonical(sample: IcrtSample, a: LoopPoint, b: LoopPoint) -> Order:
     return Order.LEFT if rank_x < rank_y else Order.RIGHT
 
 
+def precedes(sample: IcrtSample, loc: Located, i, k) -> np.ndarray:
+    """Pair by pair, whether `compare_canonical` puts point i of loc before
+    point k (LEFT or FRONT): the same meet walk, angles and ranks, on
+    arrays of indices."""
+    pos, ang, br = loc
+    _, px, cx, py, cy = sample.skeleton.meet_walks(br[i], pos[i], br[k], pos[k])
+    glued = np.r_[0.0, sample.angles.glue_angles]
+    ua, rank_x = np.where(cx < 0, ang[i], glued[cx]), np.where(cx < 0, -2, cx)
+    ub, rank_y = np.where(cy < 0, ang[k], glued[cy]), np.where(cy < 0, -2, cy)
+    # the side that reaches the meet branch higher up sees the continuation,
+    # at the angle of an atom exactly at the meet point, else 1/2
+    m, xs = np.minimum(px, py), np.r_[sample._atom_list, np.inf]
+    j = np.searchsorted(xs, m)
+    ux = np.r_[[*map(sample.cont_angle, sample._atom_list)], 0.5]
+    cont = np.where(xs[j] == m, ux[j], 0.5)
+    ub, rank_y = np.where(px < py, cont, ub), np.where(px < py, -1, rank_y)
+    ua, rank_x = np.where(py < px, cont, ua), np.where(py < px, -1, rank_x)
+    # LEFT, or equal angles where i ranks first (FRONT when i is the point)
+    return (ua < ub) | (~(ua > ub) & (rank_x < rank_y))
+
+
 def angle_toward(sample: IcrtSample, x: float, target) -> float:
     """Angle at tree point x of the component containing the target."""
     t = _check_loop_point(sample, target)
@@ -129,36 +160,61 @@ def angle_toward(sample: IcrtSample, x: float, target) -> float:
 def _side_terms(sample: IcrtSample, x: float, v: float, m: float, bm: int):
     """Atoms strictly above m on the root path of (x, v), as (atom index,
     angle toward (x, v), position); plus the angle at m toward (x, v)."""
-    sk = sample.skeleton
+    sk, pa = sample.skeleton, PathAtoms.of(sample)
     terms = []
     for b, top, child in sk.ascend(x, bm):
-        tau = v if child < 0 else sample.branch_angle(child)
         if b == bm:
             break
-        terms += _segment_atoms(sample, b, float(sk.lo[b]), top, tau)
+        terms += pa.rows[child] if child >= 0 else pa.segment(b, pa.lo[b], x, v)
+    tau = v if child < 0 else sample.branch_angle(child)
     above = top - m > POINT_TOL
-    terms += _segment_atoms(sample, bm, m, top, tau if above else None)
+    if child >= 0 and m == pa.lo[bm]:
+        # the meet segment is the child's whole row, its top counted above m
+        row = pa.rows[child]
+        terms += row if above or sample.atom_at(top) is None else row[:-1]
+    else:
+        terms += pa.segment(bm, m, top, tau if above else None)
     return terms, sample.cont_angle(m) if above else tau
 
 
-def _segment_atoms(sample: IcrtSample, b: int, lo: float, top: float, tau):
-    """Atoms of branch b strictly inside (lo, top) with their own angles,
-    then the atom at top (if any) with angle tau, the angle toward the
-    walker there; tau None leaves the top out.  Entries are (atom index,
-    angle, position)."""
-    out = []
-    pos = sample.branch_atoms_pos[b]
-    if pos.size:
-        i0 = pos.searchsorted(lo, side="right")
-        i1 = pos.searchsorted(top, side="left")
-        idx = sample.branch_atoms_idx[b][i0:i1]
-        angs = sample.angles.atom_angles[idx]
-        out = list(zip(idx.tolist(), angs.tolist(), pos[i0:i1].tolist()))
-    if tau is not None:
-        i = sample.atom_at(top)
+class PathAtoms:
+    """The atoms of each branch by position, `atoms[b]` as (atom index,
+    angle, position) and `pos[b]`, and per edge c > 0 the `segment` a root
+    path adds on parent[c] coming up through c, `rows[c]`: the exploration
+    profile of the edge, built once per sample by `of`."""
+
+    def __init__(self, sample: IcrtSample):
+        sk = sample.skeleton
+        ul = sample.angles.atom_angles.tolist()
+        self.lo = sk.lo.tolist()
+        self.pos = [p.tolist() for p in sample.branch_atoms_pos]
+        self.atoms = [
+            [(i, ul[i], x) for i, x in zip(idx.tolist(), pos)]
+            for idx, pos in zip(sample.branch_atoms_idx, self.pos)
+        ]
+        self._atom_at = sample.atom_at
+        glue = sk.glue_pos.tolist()
+        self.rows = [[]] + [
+            self.segment(p, self.lo[p], glue[c], sample.branch_angle(c))
+            for c, p in enumerate(sk.parent[1:].tolist(), 1)
+        ]
+
+    def segment(self, b: int, lo: float, top: float, tau) -> list:
+        """Atoms of branch b strictly inside (lo, top) with their own
+        angles, then the atom at top (if any) with angle tau, the angle
+        toward the walker there; tau None leaves the top out."""
+        pos = self.pos[b]
+        out = self.atoms[b][bisect_right(pos, lo) : bisect_left(pos, top)]
+        i = None if tau is None else self._atom_at(top)
         if i is not None:
             out.append((i, tau, top))
-    return out
+        return out
+
+    @staticmethod
+    def of(sample: IcrtSample) -> "PathAtoms":
+        if sample._path_atoms is None:
+            sample._path_atoms = PathAtoms(sample)
+        return sample._path_atoms
 
 
 def path_atom_angles(sample: IcrtSample, alpha) -> list:
@@ -216,7 +272,9 @@ class MassCache:
     with cumulated subtree masses.  Seen from a root path that passes the
     event, theta*u and the branches at angles below u lie on the left,
     theta*(1-u) and those above u on the right; `cum[side]` holds these
-    masses as prefix sums over the events.
+    masses as prefix sums over the events.  The lists lie end to end in
+    branch order, sorted as a whole, as a branch's events lie on it; the
+    events below a point of branch b, plus b, index b's prefix sums.
     """
 
     def __init__(self, sample: IcrtSample, l: float):
@@ -253,6 +311,7 @@ class MassCache:
         # each side's mass and, for mass_above, of atom and child masses
         self.pos, self.events, self.atom_cum, self.kid_cum = [], [], [], []
         self.cum = {"left": [], "right": []}
+        self.last = []  # where each branch's prefix sums end
         for b in range(nb):
             apos = sample.branch_atoms_pos[b][: a_idx[b].size].tolist()
             at_x = {x: (wl[i], ul[i], []) for x, i in zip(apos, a_idx[b].tolist())}
@@ -269,18 +328,20 @@ class MassCache:
                 cs.sort(key=sample.branch_angle)
                 hang = list(accumulate((sub[c] for c in cs), initial=0.0))
                 events.append((th, u, [sample.branch_angle(c) for c in cs], hang))
-            self.pos.append(pos)
-            self.events.append(events)
-            self.atom_cum.append(acum)
-            self.kid_cum.append(kcum)
+            self.pos += pos
+            self.events += events
+            self.atom_cum += acum
+            self.kid_cum += kcum
+            self.last.append(len(self.atom_cum) - 1)
             for side, cum in self.cum.items():
                 sums = (_event_mass(e, e[1], side) for e in events)
-                cum.append(list(accumulate(sums, initial=0.0)))
+                cum += accumulate(sums, initial=0.0)
 
         self.lo = sk.lo[:nb].tolist()
         self._glue = glue[:nb]
         self._angle = [0.0, *sample.angles.glue_angles[: nb - 1].tolist()]
         self._steps = {}
+        self._arrays = None
 
     # ------------------------------------------------------------------
     def step(self, b: int, x: float, tau: float, side: str) -> tuple:
@@ -290,7 +351,7 @@ class MassCache:
         or at the root on branch 0); and the mass at x on that side."""
         return (
             0.5 * self.t0 * (x - self.lo[b]),
-            self.cum[side][b][bisect_left(self.pos[b], x)],
+            self.cum[side][bisect_left(self.pos, x) + b],
             self.point_mass(b, x, tau, side),
         )
 
@@ -306,21 +367,45 @@ class MassCache:
             self._steps[side] = rows
         return rows
 
+    def step_arrays(self, br, x, tau, side: str) -> np.ndarray:
+        """`step` for arrays of points on the left or right side, as a (3, n)
+        array of terms: the same float operations, with `_event_mass` the
+        one scalar call."""
+        if self._arrays is None:
+            keys = ("atom_cum", "kid_cum", "last", "lo")
+            self._arrays = {k: np.asarray(getattr(self, k)) for k in keys} | {
+                side: np.asarray(cum) for side, cum in self.cum.items()
+            }
+            self._arrays["pos"] = np.r_[self.pos, np.inf]
+            self._arrays["u"] = np.r_[[u for _, u, _, _ in self.events], 0.5]
+        f, events = self._arrays, [*self.events, _OFF_EVENT]
+        g = np.searchsorted(f["pos"], x)
+        on = f["pos"][g] == x
+        e = np.where(on, g, len(self.events))  # the event at x, or _OFF_EVENT
+        k, last = g + on + br, f["last"][br]  # mass_above
+        above = self.t0 * np.maximum(self.clip_hi[br] - x, 0.0)
+        above += f["atom_cum"][last] - f["atom_cum"][k]
+        above += f["kid_cum"][last] - f["kid_cum"][k]
+        evs = map(events.__getitem__, e.tolist())
+        here = [_event_mass(ev, t, side) for ev, t in zip(evs, tau.tolist())]
+        here = np.where(_BEYOND[side](f["u"][e], tau), np.add(here, above), here)
+        return np.array([0.5 * self.t0 * (x - f["lo"][br]), f[side][g + br], here])
+
     def mass_above(self, b: int, x: float) -> float:
         """Mass of the continuing component of branch b strictly above x."""
-        k = bisect_right(self.pos[b], x)
+        k, last = bisect_right(self.pos, x) + b, self.last[b]
         out = self.t0 * max(self.clip_hi[b] - x, 0.0)
-        out += self.atom_cum[b][-1] - self.atom_cum[b][k]
-        out += self.kid_cum[b][-1] - self.kid_cum[b][k]
+        out += self.atom_cum[last] - self.atom_cum[k]
+        out += self.kid_cum[last] - self.kid_cum[k]
         return out
 
     def point_mass(self, b: int, x: float, tau: float, side: str) -> float:
         """Mass at the point x of branch b on one side of the direction tau:
         the event at x, and the continuing component above x when its
         angle lies on that side."""
-        pos = self.pos[b]
+        pos = self.pos
         k = bisect_left(pos, x)
-        ev = self.events[b][k] if k < len(pos) and pos[k] == x else _OFF_EVENT
+        ev = self.events[k] if k < len(pos) and pos[k] == x else _OFF_EVENT
         out = _event_mass(ev, tau, side)
         if _BEYOND[side](ev[1], tau):
             out += self.mass_above(b, x)
@@ -353,19 +438,17 @@ def _directional_mass(sample: IcrtSample, l: float, alpha, side: str) -> float:
 def _directional_masses(sample: IcrtSample, l: float, points, side: str) -> np.ndarray:
     """`_directional_mass` of each point, bit for bit: the same terms added
     in the same order, with the walks above the points' own branches taken
-    together, one level of the step table at a time."""
-    pos, ang = _check_loop_points(sample, points, l)
-    total = np.zeros(pos.size)
+    together, one level of the step table at a time.  The points may come
+    as a `Located` of `locate` at level l."""
+    loc = points if isinstance(points, Located) else locate(sample, points, l)
+    total = np.zeros(loc.pos.size)
     mc = mass_cache(sample, l)
-    br = sample.skeleton.branches_of(pos)
-    own = (mc.step(*a, side) for a in zip(br.tolist(), pos.tolist(), ang.tolist()))
-    own = np.fromiter(chain.from_iterable(own), float, 3 * pos.size)
-    for term in own.reshape(-1, 3).T:
+    for term in mc.step_arrays(loc.br, loc.pos, loc.ang, side):
         total += term
     steps = np.array(mc.steps(side)).T
     parent = np.asarray(mc.parent)
-    idx = np.flatnonzero(br > 0)
-    c = br[idx]
+    idx = np.flatnonzero(loc.br > 0)
+    c = loc.br[idx]
     while idx.size:
         for term in steps:
             total[idx] += term[c]

@@ -330,6 +330,7 @@ class IcrtSample:
         self.level = float(level)
         self.seed = seed
         self._mass_caches: dict = {}
+        self._path_atoms = None  # plane.PathAtoms, built on first use
         self._audit()
         self._build_index()
 

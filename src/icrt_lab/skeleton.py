@@ -177,6 +177,19 @@ class Skeleton:
                 bq, q, cq = parent[bq], glue[bq], bq
         return bp, p, cp, q, cq
 
+    def meet_walks(self, bp, p, bq, q):
+        """`meet_walk` for arrays of pairs of located points, given by their
+        branches and positions; returns the same five values as arrays."""
+        bp, p, bq, q = (np.array(v) for v in (bp, p, bq, q))
+        cp, cq = np.full(bp.shape, -1), np.full(bq.shape, -1)
+        live = np.flatnonzero(bp != bq)
+        while live.size:
+            up = bp[live] > bq[live]  # each pair climbs on its higher side
+            for b, x, c, i in ((bp, p, cp, live[up]), (bq, q, cq, live[~up])):
+                c[i], x[i], b[i] = b[i], self.glue_pos[b[i]], self.parent[b[i]]
+            live = live[bp[live] != bq[live]]
+        return bp, p, cp, q, cq
+
     # ------------------------------------------------------------------
     # metric queries
     # ------------------------------------------------------------------

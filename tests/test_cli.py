@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -137,6 +138,30 @@ class TestProcess:
         a = run(args, tmp_path, "a.csv")[1]
         b = run(args, tmp_path, "b.csv")[1]
         assert a.read_bytes() == b.read_bytes()
+
+    # sha256 (first 16 hex digits) of the CSVs of seeds 0-2, pinned so that
+    # a faster path must reproduce the output byte for byte; at theta0 = 0
+    # the contour table has exact fraction ties and insertion moves
+    PINNED = {
+        "--alpha 1.5 --K 200 --branches 40 --resolution 500 --grid 1024": [
+            "925909f9a78846b5", "330bdd0aa247b3d7", "6a3f3dbf2cc3c334",
+        ],
+        "--alpha 1.5 --K 200 --theta0 0.3 --branches 40 --resolution 500 "
+        "--grid 1024": ["d2d3ec8d7ec571c2", "f97c9493fbbddd83", "7865387a1f4cfe0f"],
+        "--theta0 1 --level 8": [
+            "deb9a714064e3cbc", "abbe1ba1a8b751d4", "fa151585475fdfd6",
+        ],
+    }
+
+    def test_output_pinned(self, tmp_path):
+        for args, digests in self.PINNED.items():
+            got = []
+            for seed in range(3):
+                argv = ["process", *args.split(), "--seed", str(seed)]
+                code, out = run(argv, tmp_path, "p.csv")
+                assert code == 0
+                got.append(hashlib.sha256(out.read_bytes()).hexdigest()[:16])
+            assert got == digests, args
 
     def test_cycle_height_constant(self, tmp_path):
         code, out = run(

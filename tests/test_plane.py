@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import icrt_lab.contour
 from icrt_lab import (
     AngleTable,
     MeasureState,
@@ -11,6 +12,7 @@ from icrt_lab import (
     ThetaSpec,
     assemble_sample,
     angle_toward,
+    build_contour_table,
     compare,
     front_mass,
     left_fraction,
@@ -20,13 +22,22 @@ from icrt_lab import (
     sample_icrt,
     sample_loop_point,
 )
+from icrt_lab.analysis import LoopCloud
 from icrt_lab.plane import (
+    LoopPoint,
     PlaneError,
+    _check_loop_point,
     _directional_masses,
+    _side_terms,
+    compare_canonical,
     left_fractions,
+    locate,
     monte_carlo_left_mass,
+    path_atom_angles,
+    precedes,
 )
 from icrt_lab.skeleton import POINT_TOL
+from icrt_lab.util import keyed_generator
 
 
 def _degenerate_samples():
@@ -347,3 +358,161 @@ class TestSorting:
         pts.sort(key=cmp_to_key(cmp))
         fr = [left_fraction(s, 3.0, p) for p in pts]
         assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
+
+
+# ---------------------------------------------------------------------------
+# the batched order check and the per-edge atom rows against their oracles
+# ---------------------------------------------------------------------------
+def _segment_atoms_reference(sample, b, lo, top, tau):
+    """The per-segment atom walk the atom rows replace."""
+    out = []
+    pos = sample.branch_atoms_pos[b]
+    if pos.size:
+        i0 = pos.searchsorted(lo, side="right")
+        i1 = pos.searchsorted(top, side="left")
+        idx = sample.branch_atoms_idx[b][i0:i1]
+        angs = sample.angles.atom_angles[idx]
+        out = list(zip(idx.tolist(), angs.tolist(), pos[i0:i1].tolist()))
+    if tau is not None:
+        i = sample.atom_at(top)
+        if i is not None:
+            out.append((i, tau, top))
+    return out
+
+
+def _side_terms_reference(sample, x, v, m, bm):
+    sk = sample.skeleton
+    terms = []
+    for b, top, child in sk.ascend(x, bm):
+        tau = v if child < 0 else sample.branch_angle(child)
+        if b == bm:
+            break
+        terms += _segment_atoms_reference(sample, b, float(sk.lo[b]), top, tau)
+    above = top - m > POINT_TOL
+    terms += _segment_atoms_reference(sample, bm, m, top, tau if above else None)
+    return terms, sample.cont_angle(m) if above else tau
+
+
+def _profile_atoms_reference(sample, p):
+    """`LoopCloud` profile atoms by the per-segment walk: root first, the
+    atom at every segment top kept, the root's too."""
+    sk = sample.skeleton
+    segs = [
+        (b, top, p.angle if child < 0 else sample.branch_angle(child))
+        for b, top, child in sk.ascend(p.pos)
+    ][::-1]
+    return [
+        (lvl, i, u, x)
+        for lvl, (b, top, tau) in enumerate(segs)
+        for i, u, x in _segment_atoms_reference(sample, b, float(sk.lo[b]), top, tau)
+    ]
+
+
+def _root_atom_sample():
+    """An atom and a glue point within POINT_TOL of the root."""
+    spec = ThetaSpec(math.sqrt(0.55), (0.6, 0.3))
+    measure = MeasureState(0.55, [0.5 * POINT_TOL, 1.25], [0.6, 0.3])
+    angles = AngleTable([0.2, 0.8], [0.7, 0.4])
+    return assemble_sample(spec, measure, [1.0, 2.0], [0.5 * POINT_TOL, 1.25], angles, 3.0)
+
+
+def _oracle_cases(powerlaw_sample):
+    """The 17-branch fixture, the degenerate skeletons and a root atom, each
+    with corner points, points within POINT_TOL of the marks and draws."""
+    for s in (powerlaw_sample, *_degenerate_samples(), _root_atom_sample()):
+        rng = np.random.default_rng(17)
+        pts = [sample_loop_point(s, s.level, rng) for _ in range(100)]
+        yield s, _corner_points(s) + _near_points(s, s.level) + pts, rng
+
+
+class TestBatchedOracles:
+    def test_precedes_equals_compare_canonical(self, powerlaw_sample):
+        for s, pts, rng in _oracle_cases(powerlaw_sample):
+            loc = locate(s, pts)
+            canon = list(map(LoopPoint, loc.pos.tolist(), loc.ang.tolist()))
+            n = len(canon)
+            # random pairs, equal pairs and pairs at one position
+            i = np.r_[rng.integers(n, size=3000), np.arange(n), np.arange(n - 1)]
+            k = np.r_[rng.integers(n, size=3000), np.arange(n), np.arange(1, n)]
+            for a, b in ((i, k), (k, i)):
+                want = [
+                    compare_canonical(s, canon[x], canon[y]) in (Order.LEFT, Order.FRONT)
+                    for x, y in zip(a.tolist(), b.tolist())
+                ]
+                assert precedes(s, loc, a, b).tolist() == want
+
+    def test_side_terms_equal_segment_walk(self, powerlaw_sample):
+        for s, pts, rng in _oracle_cases(powerlaw_sample):
+            canon = [_check_loop_point(s, p) for p in pts]
+            for a in canon:
+                want, _ = _side_terms_reference(s, a.pos, a.angle, 0.0, 0)
+                assert path_atom_angles(s, a) == [(i, u) for i, u, _ in want]
+            for _ in range(500):
+                a, b = (canon[j] for j in rng.integers(len(canon), size=2))
+                bm, pa, _, pb, _ = s.skeleton.meet_walk(a.pos, b.pos)
+                m = min(pa, pb)
+                for p in (a, b):
+                    want = _side_terms_reference(s, p.pos, p.angle, m, bm)
+                    assert _side_terms(s, p.pos, p.angle, m, bm) == want
+
+    def test_cloud_profiles_equal_segment_walk(self, powerlaw_sample):
+        for s, pts, _ in _oracle_cases(powerlaw_sample):
+            cloud = LoopCloud(s, s.level, pts)
+            for p, (_, _, atoms) in zip(cloud.points, cloud.profiles):
+                want = np.asarray(_profile_atoms_reference(s, p), dtype=float)
+                assert np.array_equal(atoms, want.reshape(-1, 4))
+
+    def test_contour_build_equals_scalar_pass(
+        self, powerlaw_sample, brownian_sample, monkeypatch
+    ):
+        cands, calls = [], []
+        locate_ = icrt_lab.contour.locate
+
+        def recording_locate(sample, points, l=None):
+            cands.append(points)
+            return locate_(sample, points, l)
+
+        def counting_compare(sample, a, b):
+            calls.append(1)
+            return compare_canonical(sample, a, b)
+
+        monkeypatch.setattr(icrt_lab.contour, "locate", recording_locate)
+        monkeypatch.setattr(icrt_lab.contour, "compare_canonical", counting_compare)
+        # theta0 = 0: points on distinct branches share exact fractions
+        tied = [
+            sample_icrt(ThetaSpec.power_law(1.5, 50), seed, StopRule(max_branches=40))
+            for seed in (0, 1)
+        ]
+        cases = [(s, 500, keyed_generator(k, 7)) for k, s in enumerate(tied)]
+        cases += [(brownian_sample, 500, keyed_generator(3, 3))]
+        cases += [(powerlaw_sample, 1500, keyed_generator(2, 2))]
+        cases += [(s, None, None) for s in (*_degenerate_samples(), _root_atom_sample())]
+        for s, resolution, rng in cases:
+            for level in (s.level, 0.5 * s.level):
+                calls.clear()
+                tab = build_contour_table(s, level, resolution, rng)
+                points, ts, eps = _scalar_insertion_table(s, level, cands[-1])
+                assert tab.points == points
+                assert tab.ts.tolist() == ts.tolist()
+                assert tab.eps == eps
+                if s in tied and level == s.level:
+                    assert calls  # ties out of contour order: the scalar pass ran
+
+
+def _scalar_insertion_table(sample, level, cands):
+    """The contour table by scalar fractions, a stable sort and a scalar
+    insertion pass of `compare_canonical` from the first pair on."""
+    points = [LoopPoint(*c) for c in cands]
+    canon = [_check_loop_point(sample, p, level) for p in points]
+    fr = [left_fraction(sample, level, p) for p in points]
+    rows = sorted(zip(fr, points, canon), key=lambda r: r[0])
+    first = (Order.LEFT, Order.FRONT)
+    for i in range(1, len(rows)):
+        j = i
+        while j > 0 and compare_canonical(sample, rows[j][2], rows[j - 1][2]) in first:
+            assert rows[j][0] - rows[j - 1][0] <= 1e-9
+            rows[j - 1], rows[j] = rows[j], rows[j - 1]
+            j -= 1
+    ts = np.asarray([t for t, _, _ in rows])
+    eps = sample.mass_prefix(level) * float(np.max(np.diff(ts)))
+    return [p for _, p, _ in rows], ts, eps
