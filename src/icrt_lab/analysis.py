@@ -137,24 +137,45 @@ def theoretical_dims(spec, l_grid) -> DimensionReport:
 # ---------------------------------------------------------------------------
 # loop-point clouds and covering estimates
 # ---------------------------------------------------------------------------
+# the fill of each padded LoopCloud matrix when clouds are stacked; None
+# repeats the last column, the total of the atom prefix sums
+_PADS = {"_C": -1, "_E": np.inf, "_AK": np.inf, "_AA": 0, "_AI": 0, "_AC": None}
+
+
 class LoopCloud:
     """Point cloud with a path-profile representation: pairwise looptree
     distances reduce to a common-prefix scan, vectorized over the cloud with
     padded chain and atom-key matrices.  `dist_to_all` is the cloud's only
     distance path; `loop_distance` is the scalar walk it is tested against."""
 
-    def __init__(self, sample: IcrtSample, l: float, points, profiles=None):
+    def __init__(self, sample: IcrtSample, l: float, points):
         self.sample = sample
         self.level = float(l)
         self.points = [LoopPoint(float(p[0]), float(p[1])) for p in points]
         sk = sample.skeleton
         self.theta0_sq = sample.measure.theta0_sq
         self.depth = np.asarray([sk.depth(p.pos) for p in self.points])
-        self.profiles = profiles or [self._profile(p) for p in self.points]
-        self._build_matrices(self.profiles)
+        self._build_matrices([self._profile(p) for p in self.points])
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def __add__(self, other: "LoopCloud") -> "LoopCloud":
+        """The points of both clouds (one sample and level) as one cloud,
+        stacked from their padded matrices, with no point profiled again."""
+        assert other.sample is self.sample and other.level == self.level
+        out = object.__new__(LoopCloud)
+        out.__dict__ |= self.__dict__
+        out.points = self.points + other.points
+        out.depth = np.r_[self.depth, other.depth]
+        out._atot = np.r_[self._atot, other._atot]
+        for k, fill in _PADS.items():
+            a, b = getattr(self, k), getattr(other, k)
+            w = max(a.shape[1], b.shape[1])
+            kw = dict(mode="edge") if fill is None else dict(constant_values=fill)
+            a, b = (np.pad(m, ((0, 0), (0, w - m.shape[1])), **kw) for m in (a, b))
+            setattr(out, k, np.vstack([a, b]))
+        return out
 
     def _build_matrices(self, profiles):
         n = len(self.points)
@@ -198,7 +219,7 @@ class LoopCloud:
             (lvl, i, u, x)
             for lvl, (b, top, child) in enumerate(segs)
             for i, u, x in (
-                pa.rows[child] if child >= 0 else pa.segment(b, pa.lo[b], top, p.angle)
+                pa.row(child) if child >= 0 else pa.segment(b, pa.lo[b], top, p.angle)
             )
         ]
         return (
@@ -306,9 +327,8 @@ def local_mass_exponents(
     is estimated from the reference cloud."""
     eps = np.sort(np.asarray(eps_grid, dtype=float))
     total = sample.mass_prefix(l)
-    ref = LoopCloud(
-        sample, l, cloud.points + centers.points, cloud.profiles + centers.profiles
-    )
+    assert cloud.sample is sample and centers.sample is sample
+    ref = cloud + centers
     n_ref = len(cloud)
     exponents, flagged = [], 0
     for c in range(len(centers)):

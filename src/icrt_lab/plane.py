@@ -70,14 +70,12 @@ def locate(sample: IcrtSample, points, l: float | None = None) -> Located:
     if not np.all(ok):
         _check_loop_point(sample, points[int(np.argmin(ok))], l)
     # snap: the atom within POINT_TOL, the one below first, as in `snap`
-    xs = np.asarray(sample._atom_list)
-    out = pos
-    if xs.size:
-        j = np.searchsorted(xs, pos, side="left")
-        for k in (j, j - 1):
-            x = xs[np.clip(k, 0, xs.size - 1)]
-            hit = (k >= 0) & (k < xs.size) & (np.abs(x - pos) <= POINT_TOL)
-            out = np.where(hit, x, out)
+    xs, out = sample._atoms_sorted[0], pos  # after a sentinel at -inf
+    j = np.searchsorted(xs, pos, side="left")
+    for k in (j, j - 1):
+        x = xs[np.clip(k, 0, xs.size - 1)]
+        hit = (k >= 0) & (k < xs.size) & (np.abs(x - pos) <= POINT_TOL)
+        out = np.where(hit, x, out)
     return Located(out, ang, sample.skeleton.branches_of(out))
 
 
@@ -134,10 +132,9 @@ def precedes(sample: IcrtSample, loc: Located, i, k) -> np.ndarray:
     ub, rank_y = np.where(cy < 0, ang[k], glued[cy]), np.where(cy < 0, -2, cy)
     # the side that reaches the meet branch higher up sees the continuation,
     # at the angle of an atom exactly at the meet point, else 1/2
-    m, xs = np.minimum(px, py), np.r_[sample._atom_list, np.inf]
-    j = np.searchsorted(xs, m)
-    ux = np.r_[[*map(sample.cont_angle, sample._atom_list)], 0.5]
-    cont = np.where(xs[j] == m, ux[j], 0.5)
+    m, (xs, us) = np.minimum(px, py), sample._atoms_sorted
+    j = np.searchsorted(xs, m, side="right") - 1  # the last atom at m, as atom_at
+    cont = np.where(xs[j] == m, us[j], 0.5)
     ub, rank_y = np.where(px < py, cont, ub), np.where(px < py, -1, rank_y)
     ua, rank_x = np.where(py < px, cont, ua), np.where(py < px, -1, rank_x)
     # LEFT, or equal angles where i ranks first (FRONT when i is the point)
@@ -165,50 +162,54 @@ def _side_terms(sample: IcrtSample, x: float, v: float, m: float, bm: int):
     for b, top, child in sk.ascend(x, bm):
         if b == bm:
             break
-        terms += pa.rows[child] if child >= 0 else pa.segment(b, pa.lo[b], x, v)
+        terms += pa.row(child) if child >= 0 else pa.segment(b, pa.lo[b], x, v)
     tau = v if child < 0 else sample.branch_angle(child)
     above = top - m > POINT_TOL
-    if child >= 0 and m == pa.lo[bm]:
-        # the meet segment is the child's whole row, its top counted above m
-        row = pa.rows[child]
-        terms += row if above or sample.atom_at(top) is None else row[:-1]
-    else:
-        terms += pa.segment(bm, m, top, tau if above else None)
+    terms += pa.segment(bm, m, top, tau if above else None)
     return terms, sample.cont_angle(m) if above else tau
 
 
 class PathAtoms:
-    """The atoms of each branch by position, `atoms[b]` as (atom index,
-    angle, position) and `pos[b]`, and per edge c > 0 the `segment` a root
-    path adds on parent[c] coming up through c, `rows[c]`: the exploration
-    profile of the edge, built once per sample by `of`."""
+    """Per edge c > 0 the `segment` a root path adds on parent[c] coming up
+    through c, `row(c)`: the exploration profile of the edge.  Rows and
+    each branch's atoms by position are built on first use and kept, one
+    table per sample (`of`)."""
 
     def __init__(self, sample: IcrtSample):
-        sk = sample.skeleton
-        ul = sample.angles.atom_angles.tolist()
-        self.lo = sk.lo.tolist()
-        self.pos = [p.tolist() for p in sample.branch_atoms_pos]
-        self.atoms = [
-            [(i, ul[i], x) for i, x in zip(idx.tolist(), pos)]
-            for idx, pos in zip(sample.branch_atoms_idx, self.pos)
-        ]
-        self._atom_at = sample.atom_at
-        glue = sk.glue_pos.tolist()
-        self.rows = [[]] + [
-            self.segment(p, self.lo[p], glue[c], sample.branch_angle(c))
-            for c, p in enumerate(sk.parent[1:].tolist(), 1)
-        ]
+        # no reference back to the sample, which keeps this table: the pair
+        # is freed without waiting for the cycle collector
+        sk, n = sample.skeleton, sample.skeleton.n_branches
+        self.lo, self._parent = sk.lo.tolist(), sk.parent.tolist()
+        self._glue = sk.glue_pos.tolist()
+        self._tau = [0.0, *sample.angles.glue_angles.tolist()]  # branch_angle
+        self._angles = sample.angles.atom_angles.tolist()
+        self._pos, self._idx = sample.branch_atoms_pos, sample.branch_atoms_idx
+        self._atom_at = sample.atom_index_at.get
+        self._atoms, self._rows = [None] * n, [None] * n
 
     def segment(self, b: int, lo: float, top: float, tau) -> list:
         """Atoms of branch b strictly inside (lo, top) with their own
         angles, then the atom at top (if any) with angle tau, the angle
-        toward the walker there; tau None leaves the top out."""
-        pos = self.pos[b]
-        out = self.atoms[b][bisect_right(pos, lo) : bisect_left(pos, top)]
+        toward the walker there; tau None leaves the top out.  Entries are
+        (atom index, angle, position)."""
+        got = self._atoms[b]
+        if got is None:
+            pos, ul = self._pos[b].tolist(), self._angles
+            atoms = [(i, ul[i], x) for i, x in zip(self._idx[b].tolist(), pos)]
+            got = self._atoms[b] = pos, atoms
+        pos, atoms = got
+        out = atoms[bisect_right(pos, lo) : bisect_left(pos, top)] if atoms else []
         i = None if tau is None else self._atom_at(top)
         if i is not None:
             out.append((i, tau, top))
         return out
+
+    def row(self, c: int) -> list:
+        row = self._rows[c]
+        if row is None:
+            p, top = self._parent[c], self._glue[c]
+            row = self._rows[c] = self.segment(p, self.lo[p], top, self._tau[c])
+        return row
 
     @staticmethod
     def of(sample: IcrtSample) -> "PathAtoms":
@@ -341,7 +342,6 @@ class MassCache:
         self._glue = glue[:nb]
         self._angle = [0.0, *sample.angles.glue_angles[: nb - 1].tolist()]
         self._steps = {}
-        self._arrays = None
 
     # ------------------------------------------------------------------
     def step(self, b: int, x: float, tau: float, side: str) -> tuple:
@@ -371,25 +371,21 @@ class MassCache:
         """`step` for arrays of points on the left or right side, as a (3, n)
         array of terms: the same float operations, with `_event_mass` the
         one scalar call."""
-        if self._arrays is None:
-            keys = ("atom_cum", "kid_cum", "last", "lo")
-            self._arrays = {k: np.asarray(getattr(self, k)) for k in keys} | {
-                side: np.asarray(cum) for side, cum in self.cum.items()
-            }
-            self._arrays["pos"] = np.r_[self.pos, np.inf]
-            self._arrays["u"] = np.r_[[u for _, u, _, _ in self.events], 0.5]
-        f, events = self._arrays, [*self.events, _OFF_EVENT]
-        g = np.searchsorted(f["pos"], x)
-        on = f["pos"][g] == x
+        ac, kc, cum = map(np.asarray, (self.atom_cum, self.kid_cum, self.cum[side]))
+        events, pos = [*self.events, _OFF_EVENT], np.r_[self.pos, np.inf]
+        g = np.searchsorted(pos, x)
+        on = pos[g] == x
         e = np.where(on, g, len(self.events))  # the event at x, or _OFF_EVENT
-        k, last = g + on + br, f["last"][br]  # mass_above
+        k, last = g + on + br, np.asarray(self.last)[br]  # mass_above
         above = self.t0 * np.maximum(self.clip_hi[br] - x, 0.0)
-        above += f["atom_cum"][last] - f["atom_cum"][k]
-        above += f["kid_cum"][last] - f["kid_cum"][k]
-        evs = map(events.__getitem__, e.tolist())
+        above += ac[last] - ac[k]
+        above += kc[last] - kc[k]
+        evs = [events[i] for i in e.tolist()]
         here = [_event_mass(ev, t, side) for ev, t in zip(evs, tau.tolist())]
-        here = np.where(_BEYOND[side](f["u"][e], tau), np.add(here, above), here)
-        return np.array([0.5 * self.t0 * (x - f["lo"][br]), f[side][g + br], here])
+        beyond = _BEYOND[side](np.asarray([ev[1] for ev in evs]), tau)
+        here = np.where(beyond, np.add(here, above), here)
+        lebesgue = 0.5 * self.t0 * (x - np.asarray(self.lo)[br])
+        return np.array([lebesgue, cum[g + br], here])
 
     def mass_above(self, b: int, x: float) -> float:
         """Mass of the continuing component of branch b strictly above x."""

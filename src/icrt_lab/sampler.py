@@ -357,6 +357,10 @@ class IcrtSample:
         order = np.lexsort((idx, pos, br))
         br, pos, idx = br[order], pos[order], idx[order]
         pos.flags.writeable = idx.flags.writeable = False
+        # atom positions and angles by position after a sentinel, for the
+        # batched lookups of plane.locate and plane.precedes
+        angs = self.angles.atom_angles[idx]
+        self._atoms_sorted = np.r_[-np.inf, pos], np.r_[0.5, angs]
         self.branch_atoms_pos: list[np.ndarray] = [pos[:0]] * sk.n_branches
         self.branch_atoms_idx: list[np.ndarray] = [idx[:0]] * sk.n_branches
         bs, starts = np.unique(br, return_index=True)

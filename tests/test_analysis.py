@@ -49,6 +49,24 @@ class TestLoopCloud:
                 want = loop_distance(s, cloud.points[int(a)], cloud.points[int(b)])
                 assert fast[int(b)] == pytest.approx(want, abs=1e-9)
 
+    def test_sum_equals_cloud_on_both_lists(self, powerlaw_sample):
+        s = powerlaw_sample
+        a = an.make_loop_cloud(s, s.level, 60, keyed_generator(1, 2))
+        # root points and a's point with the fewest atoms: b's matrices are
+        # narrower than a's, and padded where it has atoms
+        n_atoms = np.sum(np.isfinite(a._AK), axis=1)
+        few = a.points[int(np.argmin(np.where(n_atoms > 0, n_atoms, n_atoms.max())))]
+        b = an.LoopCloud(s, s.level, [(0.0, 0.25), (0.0, 1.0), few])
+        assert b._AK.shape[1] < a._AK.shape[1] and b._C.shape[1] < a._C.shape[1]
+        for x, y in ((a, b), (b, a)):
+            both = an.LoopCloud(s, s.level, x.points + y.points)
+            got = x + y
+            assert got.points == both.points
+            for k in ("depth", "_atot", *an._PADS):
+                assert np.array_equal(getattr(got, k), getattr(both, k)), k
+            for i in (0, len(x), len(both) - 1):
+                assert np.array_equal(got.dist_to_all(i), both.dist_to_all(i))
+
 
 class TestBoxcount:
     def test_cycle_dimension(self, cycle_sample):

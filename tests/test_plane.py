@@ -458,7 +458,8 @@ class TestBatchedOracles:
     def test_cloud_profiles_equal_segment_walk(self, powerlaw_sample):
         for s, pts, _ in _oracle_cases(powerlaw_sample):
             cloud = LoopCloud(s, s.level, pts)
-            for p, (_, _, atoms) in zip(cloud.points, cloud.profiles):
+            for p in cloud.points:
+                _, _, atoms = cloud._profile(p)
                 want = np.asarray(_profile_atoms_reference(s, p), dtype=float)
                 assert np.array_equal(atoms, want.reshape(-1, 4))
 
