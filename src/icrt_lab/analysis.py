@@ -62,7 +62,6 @@ class DimensionReport:
     window_slopes: list
     grid: list
     boxcount: dict | None = None
-    local_mass: dict | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -73,8 +72,6 @@ class DimensionReport:
         }
         if self.boxcount is not None:
             out["boxcount"] = self.boxcount
-        if self.local_mass is not None:
-            out["local_mass"] = self.local_mass
         return out
 
 
@@ -137,11 +134,6 @@ def theoretical_dims(spec, l_grid) -> DimensionReport:
 # ---------------------------------------------------------------------------
 # loop-point clouds and covering estimates
 # ---------------------------------------------------------------------------
-# the fill of each padded LoopCloud matrix when clouds are stacked; None
-# repeats the last column, the total of the atom prefix sums
-_PADS = {"_C": -1, "_E": np.inf, "_AK": np.inf, "_AA": 0, "_AI": 0, "_AC": None}
-
-
 class LoopCloud:
     """Point cloud with a path-profile representation: pairwise looptree
     distances reduce to a common-prefix scan, vectorized over the cloud with
@@ -159,23 +151,6 @@ class LoopCloud:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __add__(self, other: "LoopCloud") -> "LoopCloud":
-        """The points of both clouds (one sample and level) as one cloud,
-        stacked from their padded matrices, with no point profiled again."""
-        assert other.sample is self.sample and other.level == self.level
-        out = object.__new__(LoopCloud)
-        out.__dict__ |= self.__dict__
-        out.points = self.points + other.points
-        out.depth = np.r_[self.depth, other.depth]
-        out._atot = np.r_[self._atot, other._atot]
-        for k, fill in _PADS.items():
-            a, b = getattr(self, k), getattr(other, k)
-            w = max(a.shape[1], b.shape[1])
-            kw = dict(mode="edge") if fill is None else dict(constant_values=fill)
-            a, b = (np.pad(m, ((0, 0), (0, w - m.shape[1])), **kw) for m in (a, b))
-            setattr(out, k, np.vstack([a, b]))
-        return out
 
     def _build_matrices(self, profiles):
         n = len(self.points)
@@ -327,8 +302,7 @@ def local_mass_exponents(
     is estimated from the reference cloud."""
     eps = np.sort(np.asarray(eps_grid, dtype=float))
     total = sample.mass_prefix(l)
-    assert cloud.sample is sample and centers.sample is sample
-    ref = cloud + centers
+    ref = LoopCloud(sample, l, cloud.points + centers.points)
     n_ref = len(cloud)
     exponents, flagged = [], 0
     for c in range(len(centers)):
@@ -353,12 +327,12 @@ def reroot_test(
     spec: ThetaSpec,
     n_seeds: int,
     seed: int,
-    pair_budget: int = 12,
     corrupt: str | None = None,
 ) -> TestReport:
     """Distance from a random cut pair against distance root-to-first-cut.
 
     Negative control: corrupt="glue_root"."""
+    pair_budget = 12
     stop = StopRule(max_branches=pair_budget + 1)
     base = []
     for sd in _child_seeds(seed, 1, n_seeds):
@@ -394,12 +368,12 @@ def permutation_invariance_test(
     spec: ThetaSpec,
     n_seeds: int,
     seed: int,
-    k: int = 3,
     corrupt: str | None = None,
 ) -> TestReport:
     """Cut-pair distance laws under an index shift, plus atom-on-path rates.
 
     Negative control: corrupt="glue_biased"."""
+    k = 3
     stop = StopRule(max_branches=k + 1)
 
     def collect(block: int, i: int, j: int):
@@ -448,15 +422,10 @@ def permutation_invariance_test(
     )
 
 
-def polya_urn_test(
-    spec: ThetaSpec,
-    n_seeds: int,
-    seed: int,
-    first_cut: int = 4,
-    steps: int = 6,
-) -> TestReport:
+def polya_urn_test(spec: ThetaSpec, n_seeds: int, seed: int) -> TestReport:
     """Left-mass gap between two fixed points gains exactly the new branch
     mass, with the left-fraction gap as the gain probability."""
+    first_cut, steps = 4, 6
     stop = StopRule(max_branches=first_cut + steps + 1)
     draws = keyed_generator(seed, 21)
     violations = 0
@@ -522,12 +491,12 @@ def uniformity_test(
     spec: ThetaSpec,
     n_seeds: int,
     seed: int,
-    branches: int = 8,
     corrupt: str | None = None,
 ) -> TestReport:
     """Left fraction of a measure-drawn point against Uniform[0, 1].
 
     Negative control: corrupt="angles_const"."""
+    branches = 8
     stop = StopRule(max_branches=branches)
     draws = keyed_generator(seed, 31)
     vals = []
@@ -633,9 +602,9 @@ def concentration_check(
     t_grid,
     trials: int,
     seed: int,
-    n_terms: int = 64,
 ) -> TestReport:
     """Tail of the running-maximum partial sum against C_k (sqrt(V)/t)^k."""
+    n_terms = 64
     if kappa < 4:
         raise ValueError("the explicit constant needs kappa >= 4")
     if abs(variable.mean) > 0:

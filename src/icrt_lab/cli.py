@@ -42,6 +42,7 @@ from .util import dump_json, keyed_generator
 USAGE_ERROR = 1
 SUITE_FAILURE = 2
 MIN_GRID = 1 << 10
+MIN_SEEDS = 3  # the smallest seed budget at which every verify statistic is finite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,6 +210,8 @@ def cmd_process(args) -> int:
 
 def cmd_dims(args) -> int:
     seed = _resolve_seed(args)
+    if args.cloud < 0:
+        raise ValueError(f"--cloud must be at least 0, got {args.cloud}")
     spec = _theta_from_args(args)
     d0, d1 = args.grid_decades
     grid = np.geomspace(10.0**d0, 10.0**d1, args.grid_points)
@@ -436,11 +439,14 @@ def _run_suite(name_seed_n) -> list:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
+    if args.seeds < MIN_SEEDS:
+        raise ValueError(f"--seeds must be at least {MIN_SEEDS}, got {args.seeds}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    jobs = max(1, args.jobs)
     tasks = [(name, seed, args.seeds) for name in names]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             blocks = list(pool.map(_run_suite, tasks))
     else:
         blocks = [_run_suite(t) for t in tasks]

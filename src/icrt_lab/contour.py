@@ -65,11 +65,10 @@ def build_contour_table(
     l: float | None = None,
     resolution: int | None = None,
     rng: np.random.Generator | None = None,
-    atom_grid: int = 64,
-    atom_weight_cut: float = 0.01,
 ) -> ContourTable:
     """Candidates: both root corners, branch tips and glue corners, an angle
-    grid on heavy atom fibers, and `resolution` measure draws."""
+    grid of 64 on the fibers of atoms of weight at least 0.01, and
+    `resolution` measure draws."""
     level = sample.level if l is None else float(l)
     mass = sample.mass_prefix(level)
     if mass <= 0:
@@ -88,9 +87,9 @@ def build_contour_table(
         if b > 0:
             cands.add((float(sk.glue_pos[b]), sample.branch_angle(b)))
     for x, i in sample.atom_index_at.items():
-        if x <= level and sample.measure.ws[i] >= atom_weight_cut:
-            for k in range(atom_grid):
-                cands.add((float(x), k / atom_grid))
+        if x <= level and sample.measure.ws[i] >= 0.01:
+            for k in range(64):
+                cands.add((float(x), k / 64))
     if rng is not None:
         for _ in range(resolution):
             p = sample_loop_point(sample, level, rng)
@@ -168,14 +167,13 @@ def process_grid(
     times = np.linspace(0.0, 1.0, n)
     uniq, inv = np.unique(_eval_indices(table, times), return_inverse=True)
     sample = table.sample
-    raw = [table.points[k] for k in uniq.tolist()]
-    pts = [_check_loop_point(sample, p) for p in raw]
-    # one root-path walk per point, read by both the Lukasiewicz and the
-    # snake column
-    terms = [path_atom_angles(sample, p) for p in raw]
-    h = np.asarray([sample.skeleton.depth(p.pos) for p in raw])
-    w = np.asarray([_lukasiewicz(sample, a, t) for a, t in zip(pts, terms)])
-    out = {"t": times, "height": h[inv], "lukasiewicz": w[inv]}
+    pts = [_check_loop_point(sample, table.points[k]) for k in uniq.tolist()]
+    # per point one depth (height, Lukasiewicz) and one root-path walk
+    # (Lukasiewicz, snake)
+    h = [sample.skeleton.depth(p.pos) for p in pts]
+    terms = [path_atom_angles(sample, p) for p in pts]
+    w = np.asarray([_lukasiewicz(sample, d, t) for d, t in zip(h, terms)])
+    out = {"t": times, "height": np.asarray(h)[inv], "lukasiewicz": w[inv]}
     if realization is not None:
         out["snake"] = realization._fennec_values(pts, terms)[inv]
     return out
@@ -191,20 +189,14 @@ class HolderEstimate:
     lags: np.ndarray
     moduli: np.ndarray
 
-    @property
-    def band(self) -> tuple:
-        return (self.exponent - 2 * self.stderr, self.exponent + 2 * self.stderr)
 
-
-def holder_estimate(series, lags=None, min_points: int = 1024) -> HolderEstimate:
+def holder_estimate(series) -> HolderEstimate:
     """Slope of log sup-modulus against log lag over dyadic lags."""
     z = np.asarray(series, dtype=float)
     n = z.size
-    if n < min_points:
-        raise ContourError(f"series too short: {n} < {min_points}")
-    if lags is None:
-        lags = [1 << k for k in range(int(math.log2(n / 8)) + 1)]
-    lags = np.asarray([h for h in lags if 0 < h < n], dtype=int)
+    if n < 1024:
+        raise ContourError(f"series too short: {n} < 1024")
+    lags = np.asarray([1 << k for k in range(int(math.log2(n / 8)) + 1)])
     moduli = np.asarray([float(np.max(np.abs(z[h:] - z[:-h]))) for h in lags])
     keep = moduli > 0
     lags, moduli = lags[keep], moduli[keep]
@@ -216,17 +208,18 @@ def holder_estimate(series, lags=None, min_points: int = 1024) -> HolderEstimate
     return HolderEstimate(float(slope), float(np.sqrt(cov[0, 0])), lags, moduli)
 
 
-def modulus_vs_distance(dists, diffs, n_bins: int = 10) -> HolderEstimate:
-    """Slope of log sup-increment against log distance over dyadic bins."""
+def modulus_vs_distance(dists, diffs) -> HolderEstimate:
+    """Slope of log sup-increment against log distance over ten geometric
+    bins."""
     d = np.asarray(dists, dtype=float)
     f = np.asarray(diffs, dtype=float)
     keep = d > 0
     d, f = d[keep], np.abs(f[keep])
     if d.size < 16:
         raise ContourError("not enough pairs")
-    edges = np.geomspace(np.min(d), np.max(d) * (1 + 1e-12), n_bins + 1)
+    edges = np.geomspace(np.min(d), np.max(d) * (1 + 1e-12), 11)
     centers, sups = [], []
-    for k in range(n_bins):
+    for k in range(10):
         sel = (d >= edges[k]) & (d < edges[k + 1])
         if np.count_nonzero(sel) >= 3 and np.max(f[sel]) > 0:
             centers.append(math.sqrt(edges[k] * edges[k + 1]))
@@ -257,8 +250,13 @@ def export_process_csv(
     return grid
 
 
-def polyline_svg(xs, ys, width: int = 640, height: int = 360, label: str = "") -> str:
+# the size of every SVG plot, in pixels
+_WIDTH, _HEIGHT = 640, 360
+
+
+def polyline_svg(xs, ys, label: str = "") -> str:
     """Static SVG polyline with a framed plot area."""
+    width, height = _WIDTH, _HEIGHT
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     pad = 24.0
@@ -281,7 +279,8 @@ def polyline_svg(xs, ys, width: int = 640, height: int = 360, label: str = "") -
     )
 
 
-def scatter_svg(xs, ys, width: int = 640, height: int = 360, label: str = "") -> str:
+def scatter_svg(xs, ys, label: str = "") -> str:
+    width, height = _WIDTH, _HEIGHT
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     pad = 24.0

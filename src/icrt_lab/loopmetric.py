@@ -102,13 +102,13 @@ def hausdorff_gap(sample: IcrtSample, l: float, probes) -> float:
     return gap
 
 
-def export_distance_matrix(path, sample: IcrtSample, points, metric: str = "loop"):
-    """CSV with a header row of point ids; deterministic ordering."""
-    fn = {"loop": loop_distance, "gff": gff_distance}[metric]
+def export_distance_matrix(path, sample: IcrtSample, points):
+    """Looptree distances as CSV with a header row of point ids;
+    deterministic ordering."""
     pts = [(float(p[0]), float(p[1])) for p in points]
     ids = [f"p{k}" for k in range(len(pts))]
     with open(path, "w") as fh:
         fh.write("id," + ",".join(ids) + "\n")
         for k, p in enumerate(pts):
-            row = [fmt17(fn(sample, p, q)) for q in pts]
+            row = [fmt17(loop_distance(sample, p, q)) for q in pts]
             fh.write(ids[k] + "," + ",".join(row) + "\n")

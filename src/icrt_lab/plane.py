@@ -230,14 +230,17 @@ def lukasiewicz_value(sample: IcrtSample, alpha) -> float:
     """theta0^2/2 * root depth plus sum of theta_i (1 - angle toward alpha)
     over root-path atoms."""
     a = _check_loop_point(sample, alpha)
-    return _lukasiewicz(sample, a, path_atom_angles(sample, alpha))
+    depth = sample.skeleton.depth(a.pos)
+    return _lukasiewicz(sample, depth, path_atom_angles(sample, alpha))
 
 
-def _lukasiewicz(sample: IcrtSample, a: LoopPoint, terms) -> float:
-    """`lukasiewicz_value` of a checked point from its `path_atom_angles`."""
-    ws = sample.measure.ws
-    tail = sum(ws[i] * (1.0 - u) for i, u in terms)
-    return 0.5 * sample.measure.theta0_sq * sample.skeleton.depth(a.pos) + tail
+def _lukasiewicz(sample: IcrtSample, depth: float, terms) -> float:
+    """`lukasiewicz_value` of a checked point from its root depth and its
+    `path_atom_angles`."""
+    ws, tail = sample.measure._ws, 0.0
+    for i, u in terms:  # not sum(), which compensates from Python 3.12 on
+        tail += ws[i] * (1.0 - u)
+    return 0.5 * sample.measure.theta0_sq * depth + tail
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +494,10 @@ def left_fractions(sample: IcrtSample, l: float, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # measure draws
 # ---------------------------------------------------------------------------
-def sample_tree_position(sample: IcrtSample, l: float, rng) -> float:
-    """Draw from mu restricted to [0, l], normalized."""
-    return sample.measure.draw_position(l, rng)
-
-
 def sample_loop_point(sample: IcrtSample, l: float, rng) -> LoopPoint:
-    return LoopPoint(sample_tree_position(sample, l, rng), rng.random())
+    """A position drawn from mu restricted to [0, l], normalized, and a
+    uniform angle."""
+    return LoopPoint(sample.measure.draw_position(l, rng), rng.random())
 
 
 def monte_carlo_left_mass(

@@ -98,6 +98,7 @@ class MeasureState:
         # list copies: scalar lookups on lists are several times cheaper
         self._xs = self.xs_sorted.tolist()
         self._cum = self.cum_sorted.tolist()
+        self._ws = self.ws.tolist()
 
     def mass_prefix(self, l: float) -> float:
         """mu[0, l]."""

@@ -28,12 +28,6 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_json(obj))
-        fh.write("\n")
-
-
 def fmt17(x: float) -> str:
     """17 significant digits, enough to round-trip any float."""
     return format(float(x), ".17g")

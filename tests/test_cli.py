@@ -244,8 +244,16 @@ class TestProcess:
             ]
         )
         assert code == 0
-        for col in ("height", "lukasiewicz", "snake", "scatter"):
-            assert (tmp_path / f"p_{col}.svg").exists()
+        # sha256 (first 16 hex digits) of each plot
+        want = {
+            "height": "d3f67c9246777012",
+            "lukasiewicz": "82d93d9c33ed4e92",
+            "snake": "562533761972de14",
+            "scatter": "39280fc2032c1d74",
+        }
+        for col, digest in want.items():
+            data = (tmp_path / f"p_{col}.svg").read_bytes()
+            assert hashlib.sha256(data).hexdigest()[:16] == digest, col
 
 
 class TestDims:
@@ -285,6 +293,12 @@ class TestDims:
         assert "boxcount" in rep
         assert abs(rep["boxcount"]["estimate"] - 1.0) <= 0.3
 
+    def test_negative_cloud_rejected(self, tmp_path, capsys):
+        code, out = run(["dims", "--theta0", "1", "--cloud", "-1"], tmp_path, "d.json")
+        assert code == 1
+        assert "--cloud" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_metric_suite_passes(self, tmp_path):
@@ -298,6 +312,23 @@ class TestVerify:
 
     def test_unknown_suite_usage_error(self):
         assert cli.main(["verify", "nope"]) == 1
+
+    def test_seeds_below_minimum_rejected(self, tmp_path, capsys):
+        # below 3 seeds the field suite reports a NaN p-value (or divides by
+        # zero at 0) and the urn suite runs on no samples
+        for seeds in ("0", "2"):
+            code, out = run(["verify", "field", "--seeds", seeds], tmp_path, "v.json")
+            assert code == 1
+            assert "--seeds" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        code, out = run(
+            ["verify", "urn", "--seeds", "40", "--jobs", "0"], tmp_path, "v.json"
+        )
+        assert code == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         def failing(seed, n):
@@ -323,6 +354,36 @@ class TestVerify:
         ]
         assert lines == want
         assert code == 0 and obj["passed"] and "PASS field-variance" in lines
+        # the configs only: the p-values come from scipy and may move with it
+        configs = {r["name"]: r["config"] for r in obj["reports"]}
+        assert configs == self.CONFIGS_SEED_49
+
+    # the report configs of `verify all --seeds 400 --seed 49`
+    CONFIGS_SEED_49 = {
+        "metric-brownian": {"seed": 49, "triples": 400},
+        "metric-cycle": {"seed": 49, "triples": 400},
+        "metric-powerlaw": {"seed": 49, "triples": 400},
+        "order-brownian": {"seed": 49, "triples": 400},
+        "order-cycle": {"seed": 49, "triples": 400},
+        "order-powerlaw": {"seed": 49, "triples": 400},
+        "field-variance": {"field_seeds": 400, "seed": 49},
+        "polya-urn": {"first_cut": 4, "n_seeds": 400, "seed": 49, "steps": 6},
+        "reroot-identity":
+            {"corrupt": None, "n_seeds": 400, "pair_budget": 12, "seed": 49},
+        "permutation-invariance":
+            {"corrupt": None, "k": 3, "n_seeds": 400, "seed": 49},
+        "reroot-negative-control":
+            {"corrupt": "glue_root", "n_seeds": 400, "pair_budget": 12, "seed": 49},
+        "dims-brownian": {"grid": "1e2..1e6"},
+        "dims-cycle": {"grid": "1e2..1e6"},
+        "dims-powerlaw": {"family": "powerlaw-1.5", "grid": "1e1.5..1e5.5"},
+        "concentration-rademacher":
+            {"kappa": 4.0, "n_terms": 64, "seed": 49, "trials": 400},
+        "concentration-uniform":
+            {"kappa": 4.0, "n_terms": 64, "seed": 49, "trials": 400},
+        "concentration-exponential":
+            {"kappa": 4.0, "n_terms": 64, "seed": 49, "trials": 400},
+    }
 
     def test_verify_rerun_byte_identical(self, tmp_path):
         args = ["verify", "urn", "--seeds", "60", "--seed", "9"]

@@ -194,5 +194,11 @@ class TestExport:
         assert lines[0] == "id,p0,p1,p2"
         row = lines[1].split(",")
         assert float(row[2]) == pytest.approx(0.23875)
+        assert path.read_bytes() == (
+            b"id,p0,p1,p2\n"
+            b"p0,0,0.23874999999999996,0.135625\n"
+            b"p1,0.23874999999999996,0,0.10312500000000001\n"
+            b"p2,0.135625,0.10312500000000001,0\n"
+        )
         export_distance_matrix(tmp_path / "dm2.csv", hand_sample, pts)
         assert (tmp_path / "dm2.csv").read_text() == path.read_text()
