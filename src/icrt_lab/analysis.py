@@ -23,13 +23,16 @@ from .sampler import (
     sample_atoms,
 )
 from .plane import (
+    Located,
     LoopPoint,
     Order,
     PathAtoms,
     compare,
     left_fraction,
     left_mass,
+    profiles,
     sample_loop_point,
+    sample_loop_points,
 )
 from .loopmetric import loop_distance
 from .util import keyed_generator, substream
@@ -146,62 +149,30 @@ class LoopCloud:
         self.points = [LoopPoint(float(p[0]), float(p[1])) for p in points]
         sk = sample.skeleton
         self.theta0_sq = sample.measure.theta0_sq
-        self.depth = np.asarray([sk.depth(p.pos) for p in self.points])
-        self._build_matrices([self._profile(p) for p in self.points])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def _build_matrices(self, profiles):
+        # the points as given, unsnapped; root-first profiles keep the atom
+        # at a segment top next to the root, where a meet reads it
+        pos = np.fromiter((p.pos for p in self.points), float, len(self.points))
+        ang = np.fromiter((p.angle for p in self.points), float, len(self.points))
+        prof = profiles(sample, Located(pos, ang, sk.branches_of(pos)), root_first=True)
+        self.depth, self._C, self._E = prof.depth, prof.br, prof.top
         n = len(self.points)
-        d = max(branches.size for branches, _, _ in profiles)
-        a = max(atoms.shape[0] for _, _, atoms in profiles)
-        self._C = np.full((n, d), -1, dtype=np.int64)
-        self._E = np.full((n, d), np.inf)
         # composite sort key: chain level major, position minor
-        self._key_base = 2.0 * self.sample.skeleton.total_length + 1.0
-        self._AK = np.full((n, a + 1), np.inf)
-        self._AA = np.zeros((n, a + 1))
-        self._AI = np.zeros((n, a + 1), dtype=np.int64)
-        self._AC = np.zeros((n, a + 2))
-        self._atot = np.zeros(n)
-        ws = self.sample.measure.ws
-        for k, (branches, exits, atoms) in enumerate(profiles):
-            self._C[k, : branches.size] = branches
-            self._E[k, : branches.size] = exits
-            lev, idx, ang, pos = atoms.T
-            idx = idx.astype(np.int64)
-            m = idx.size
-            self._AK[k, :m] = lev * self._key_base + pos
-            self._AA[k, :m] = ang
-            self._AI[k, :m] = idx
-            # weighted torus distances of the angles to 0
-            cum = np.cumsum(ws[idx] * np.minimum(ang, 1.0 - ang))
-            self._atot[k] = cum[-1] if m else 0.0
-            self._AC[k, 1 : m + 1] = cum
-            self._AC[k, m + 1 :] = self._atot[k]
-        sk = self.sample.skeleton
+        self._key_base = 2.0 * sk.total_length + 1.0
+        xs, _, ix, _, _ = PathAtoms.of(sample).atoms
+        key = np.where(prof.at > 0, prof.lev * self._key_base + xs[prof.at], np.inf)
+        self._AK = np.c_[key, np.full(n, np.inf)]
+        self._AA = np.c_[prof.ang, np.zeros(n)]
+        self._AI = np.c_[ix[prof.at], np.zeros(n, np.int64)]
+        # weighted torus distances of the angles to 0, cumulated (a pad adds 0)
+        w = np.append(sample.measure.ws, 0.0)[ix][prof.at]
+        w *= np.minimum(prof.ang, 1.0 - prof.ang)
+        cum = np.cumsum(np.c_[np.zeros(n), w], axis=1)
+        self._AC, self._atot = np.c_[cum, cum[:, -1]], cum[:, -1]
         self._attach = np.asarray(sk.attach_depth)
         self._lo = np.asarray(sk.lo)
 
-    def _profile(self, p: LoopPoint):
-        """Root-first chain of branches and their exit positions, and the
-        atom records (chain level, atom index, angle toward p, position) as
-        rows of a float array."""
-        pa = PathAtoms.of(self.sample)
-        segs = list(self.sample.skeleton.ascend(p.pos))[::-1]
-        atoms = [
-            (lvl, i, u, x)
-            for lvl, (b, top, child) in enumerate(segs)
-            for i, u, x in (
-                pa.row(child) if child >= 0 else pa.segment(b, pa.lo[b], top, p.angle)
-            )
-        ]
-        return (
-            np.asarray([b for b, _, _ in segs]),
-            np.asarray([top for _, top, _ in segs]),
-            np.asarray(atoms, dtype=float).reshape(-1, 4),
-        )
+    def __len__(self) -> int:
+        return len(self.points)
 
     # ------------------------------------------------------------------
     def dist_to_all(self, a: int) -> np.ndarray:
@@ -245,8 +216,7 @@ class LoopCloud:
 def make_loop_cloud(
     sample: IcrtSample, l: float, n: int, rng: np.random.Generator
 ) -> LoopCloud:
-    pts = [sample_loop_point(sample, l, rng) for _ in range(n)]
-    return LoopCloud(sample, l, pts)
+    return LoopCloud(sample, l, sample_loop_points(sample, l, rng, n))
 
 
 def farthest_first_radii(cloud: LoopCloud, eps_min: float, max_net: int = 4000):

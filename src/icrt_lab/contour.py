@@ -22,20 +22,19 @@ import numpy as np
 
 from .sampler import IcrtSample
 from .plane import (
+    Located,
     LoopPoint,
     Order,
-    _check_loop_point,
-    _lukasiewicz,
-    path_atom_angles,
     compare_canonical,
     left_fractions,
     locate,
     lukasiewicz_value,
+    lukasiewicz_values,
     precedes,
-    sample_loop_point,
+    profiles,
+    sample_loop_points,
 )
 from .fields import FieldRealization
-from .util import fmt17
 
 
 class ContourError(ValueError):
@@ -55,6 +54,7 @@ class ContourTable:
     mass_total: float
     eps: float  # round-trip resolution: mass * largest fraction gap
     resolution: int
+    loc: Located  # the points checked and located, in table order
 
     def __len__(self) -> int:
         return len(self.points)
@@ -91,9 +91,7 @@ def build_contour_table(
             for k in range(64):
                 cands.add((float(x), k / 64))
     if rng is not None:
-        for _ in range(resolution):
-            p = sample_loop_point(sample, level, rng)
-            cands.add((p.pos, p.angle))
+        cands.update(sample_loop_points(sample, level, rng, resolution))
 
     # the candidates located once: fractions and order are computed on the
     # snapped arrays, the table keeps the candidates
@@ -127,7 +125,8 @@ def build_contour_table(
     if gaps.size and float(np.min(gaps)) < -1e-9:
         raise ContourError("left fractions disagree with the contour order")
     eps = mass * float(np.max(gaps)) if gaps.size else mass
-    return ContourTable(sample, level, points, ts, mass, eps, resolution)
+    loc = Located(*(v[order] for v in loc))
+    return ContourTable(sample, level, points, ts, mass, eps, resolution, loc)
 
 
 def contour_eval(table: ContourTable, t: float) -> LoopPoint:
@@ -166,16 +165,14 @@ def process_grid(
         raise ContourError("need at least two grid points")
     times = np.linspace(0.0, 1.0, n)
     uniq, inv = np.unique(_eval_indices(table, times), return_inverse=True)
-    sample = table.sample
-    pts = [_check_loop_point(sample, table.points[k]) for k in uniq.tolist()]
-    # per point one depth (height, Lukasiewicz) and one root-path walk
-    # (Lukasiewicz, snake)
-    h = [sample.skeleton.depth(p.pos) for p in pts]
-    terms = [path_atom_angles(sample, p) for p in pts]
-    w = np.asarray([_lukasiewicz(sample, d, t) for d, t in zip(h, terms)])
-    out = {"t": times, "height": np.asarray(h)[inv], "lukasiewicz": w[inv]}
+    # one profile set of the table's located points (height, Lukasiewicz,
+    # snake)
+    pts = Located(*(v[uniq] for v in table.loc))
+    prof = profiles(table.sample, pts)
+    w = lukasiewicz_values(table.sample, prof)
+    out = {"t": times, "height": prof.depth[inv], "lukasiewicz": w[inv]}
     if realization is not None:
-        out["snake"] = realization._fennec_values(pts, terms)[inv]
+        out["snake"] = realization._fennec_values(pts, prof)[inv]
     return out
 
 
@@ -243,10 +240,10 @@ def export_process_csv(
     cols = ["t", "height", "lukasiewicz"] + (
         ["snake"] if "snake" in grid else []
     )
+    row = ",".join(["%.17g"] * len(cols)) + "\n"  # as util.fmt17
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(n):
-            fh.write(",".join(fmt17(grid[c][k]) for c in cols) + "\n")
+        fh.writelines(row % r for r in zip(*(grid[c].tolist() for c in cols)))
     return grid
 
 

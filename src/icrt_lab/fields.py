@@ -25,7 +25,13 @@ import numpy as np
 
 from .skeleton import POINT_TOL
 from .sampler import IcrtSample
-from .plane import LoopPoint, _check_loop_point, path_atom_angles
+from .plane import (
+    LoopPoint,
+    PathAtoms,
+    _check_loop_point,
+    located_profiles,
+    path_atom_angles,
+)
 from .util import fmt17, keyed_generator
 
 _TREE_TAG = 101
@@ -74,6 +80,19 @@ class _LazyGaussianPath:
         self.val.insert(j, v)
         return v
 
+    def extend(self, positions) -> None:
+        """`insert_batch` of sorted positions past the last one: each value
+        is the previous one plus sqrt(ds) times a normal, one cumsum."""
+        s = np.asarray(positions, dtype=float)
+        if s.size:
+            steps = np.empty(s.size + 1)
+            steps[0], steps[1:] = self.val[-1], s
+            steps[2:] -= s[:-1]
+            steps[1] -= self.pos[-1]
+            steps[1:] = np.sqrt(steps[1:]) * self._gen().standard_normal(s.size)
+            self.val += np.cumsum(steps)[1:].tolist()
+            self.pos += s.tolist()
+
     def insert_batch(self, positions) -> None:
         for s in sorted(positions):
             self.insert(float(s))
@@ -81,6 +100,12 @@ class _LazyGaussianPath:
     def value(self, s: float) -> float:
         j = bisect_left(self.pos, s)
         return self.val[j]
+
+
+def _runs(ii) -> tuple:
+    """Start and length of each run of equal values of a sorted array."""
+    start = np.flatnonzero(np.append(True, ii[1:] != ii[:-1])) if ii.size else ii
+    return start, np.append(start[1:], ii.size) - start
 
 
 class FieldRealization:
@@ -116,10 +141,13 @@ class FieldRealization:
             if keep:
                 need.setdefault(b, set()).add(s)
         # glue points on the root path of each branch (hi[b] lies on b)
-        for b in list(need):
-            for a, g, child in sk.ascend(float(sk.hi[b])):
-                if child >= 0 and g > POINT_TOL:
-                    need.setdefault(a, set()).add(g - float(sk.lo[a]))
+        parent, glue = sk._parent_list, sk._glue_list
+        for c in sk.branches_of(sk.hi[list(need)]).tolist():
+            while c > 0:
+                a = parent[c]
+                if glue[c] > POINT_TOL:
+                    need.setdefault(a, set()).add(glue[c] - float(sk.lo[a]))
+                c = a
         for b in sorted(need):
             path = self._branches.get(b)
             if path is None:
@@ -130,7 +158,9 @@ class FieldRealization:
                     base = self._branches[pb].value(g - float(sk.lo[pb]))
                 path = _LazyGaussianPath((self.seed, _TREE_TAG, b), base)
                 self._branches[b] = path
-            path.insert_batch(need[b])
+                path.extend(sorted(s for s in need[b] if s > 0.0))
+            else:
+                path.insert_batch(need[b])
         return np.asarray(
             [self._branches[b].value(s) if keep else 0.0 for b, s, keep in queries]
         )
@@ -153,35 +183,81 @@ class FieldRealization:
     # ------------------------------------------------------------------
     def fennec_values(self, alphas) -> np.ndarray:
         """Combined field at loop points (batch, order-independent)."""
-        pts = [_check_loop_point(self.sample, a) for a in alphas]
-        return self._fennec_values(pts, [path_atom_angles(self.sample, a) for a in pts])
+        return self._fennec_values(*located_profiles(self.sample, alphas))
 
-    def _fennec_values(self, pts, per_point) -> np.ndarray:
-        """`fennec_values` of checked points from their `path_atom_angles`."""
+    def _fennec_values(self, loc, prof) -> np.ndarray:
+        """`fennec_values` of located points from their `profiles`: the
+        bridge terms added one column at a time, in walk order."""
         sample = self.sample
         theta0 = math.sqrt(sample.measure.theta0_sq)
         if theta0 > 0:
-            g = self.tree_values([a.pos for a in pts])
+            g = self.tree_values(loc.pos)
         else:
-            g = np.zeros(len(pts))
-        needs: dict[int, set] = {}
-        for terms in per_point:
-            for i, u in terms:
-                needs.setdefault(i, set()).add(u)
-        table: dict[tuple, float] = {}
-        for i in sorted(needs):
-            angs = sorted(needs[i])
-            vals = self.bridge_values(i, angs)
-            for u, v in zip(angs, vals):
-                table[(i, u)] = float(v)
-        sq = np.sqrt(sample.measure.ws).tolist()
-        out = theta0 / math.sqrt(6.0) * g
-        for k, terms in enumerate(per_point):
-            tail = 0.0
-            for i, u in terms:  # not sum(), which compensates from Python 3.12 on
-                tail += sq[i] * table[(i, u)]
-            out[k] += tail
+            g = np.zeros(loc.pos.size)
+        ix = PathAtoms.of(sample).atoms[2]
+        sq = np.append(np.sqrt(sample.measure.ws), 0.0)[ix]  # a pad reads 0.0
+        tail = np.zeros(loc.pos.size)
+        for j, v in zip(prof.at.T, self._bridge_table(ix, prof.at, prof.ang).T):
+            tail += sq[j] * v  # not sum(), which compensates from Python 3.12 on
+        return theta0 / math.sqrt(6.0) * g + tail
+
+    def _bridge_table(self, ix, at, ang) -> np.ndarray:
+        """Bridge ix[j] at angle u for each (j, u) of the padded arrays of a
+        `ProfileSet`, 0.0 at a pad: bridges that hold values refine by
+        `insert`, fresh ones are filled by `_fill_bridges`."""
+        pad = at > 0
+        key = np.lexsort((ang[pad], at[pad]))  # by atom, then angle
+        jj, uu = at[pad][key], ang[pad][key]
+        new = np.ones(jj.size, bool)
+        new[1:] = (jj[1:] != jj[:-1]) | (uu[1:] != uu[:-1])
+        ii, uu, pair = ix[jj[new]], uu[new], np.cumsum(new) - 1
+        # each atom's sorted angles are uu[a:a + n]
+        vals, fresh = np.zeros(ii.size), np.ones(ii.size, bool)  # 0.0 at 0 and 1
+        start, count = _runs(ii)
+        for i, a, n in zip(ii[start].tolist(), start.tolist(), count.tolist()):
+            if i in self._bridges:
+                vals[a : a + n] = self.bridge_values(i, uu[a : a + n])
+                fresh[a : a + n] = False
+            else:
+                self._bridge(i)
+        inner = np.flatnonzero(fresh & (uu > 0.0) & (uu < 1.0))
+        if inner.size:
+            vals[inner] = self._fill_bridges(ii[inner], uu[inner])
+        out, got = np.zeros(at.shape), np.empty(key.size)
+        got[key] = vals[pair]
+        out[pad] = got
         return out
+
+    def _fill_bridges(self, ii, uu) -> np.ndarray:
+        """`insert_batch` on fresh bridges, bit for bit: per bridge i its
+        angles uu (sorted, inside (0, 1)), each inserted between the last
+        one and 1, with all bridges at one insertion rank per step."""
+        first, k = _runs(ii)
+        paths = [self._bridges[i] for i in ii[first].tolist()]
+        # values stored rank by rank; in each rank the bridges keep fixed
+        # slots, most angles first, so the bridges at rank r are a prefix of
+        # those at rank r - 1
+        slot = np.empty_like(k)
+        slot[np.argsort(-k, kind="stable")] = np.arange(k.size)
+        rank = np.arange(ii.size) - np.repeat(first, k)
+        size = np.bincount(rank)
+        base = np.cumsum(size) - size
+        at = base[rank] + np.repeat(slot, k)
+        s, z, v = np.empty(ii.size), np.empty(ii.size), np.empty(ii.size)
+        s[at] = uu
+        z[at] = np.concatenate([p._gen().standard_normal(m) for p, m in zip(paths, k)])
+        a = b = np.zeros(k.size)  # the last position and value of each bridge
+        for o, m in zip(base.tolist(), size.tolist()):
+            sr, a, b = s[o : o + m], a[:m], b[:m]
+            mean = b + (0.0 - b) * ((sr - a) / (1.0 - a))
+            var = (1.0 - sr) * (sr - a) / (1.0 - a)
+            v[o : o + m] = mean + np.sqrt(np.maximum(var, 0.0)) * z[o : o + m]
+            a, b = sr, v[o : o + m]
+        vals = v[at]
+        ul, vl = uu.tolist(), vals.tolist()
+        for path, f, m in zip(paths, first.tolist(), k.tolist()):
+            path.pos[1:1], path.val[1:1] = ul[f : f + m], vl[f : f + m]
+        return vals
 
     def fennec_value(self, alpha) -> float:
         return float(self.fennec_values([alpha])[0])

@@ -5,8 +5,9 @@ queries, the total contour order (left-of / in-front-of comparison at the
 meet point), and computes the left/front/right mass functionals exactly by
 decomposing the root path, with per-level subtree aggregates cached on the
 sample.  Batches are located once (`locate`): `left_fractions` batches the
-mass walk and `precedes` the order check.  Root-path atom walks read the
-per-edge atom rows of `PathAtoms`.
+mass walk and `compare_many` the order.  Root-path atom walks read the
+per-edge atom rows of `PathAtoms`; `profiles` climbs the root paths of a
+batch together and lists their atoms as padded arrays.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .skeleton import POINT_TOL
-from .sampler import IcrtSample
+from .sampler import IcrtSample, SamplerError
 
 
 class LoopPoint(NamedTuple):
@@ -121,10 +122,10 @@ def compare_canonical(sample: IcrtSample, a: LoopPoint, b: LoopPoint) -> Order:
     return Order.LEFT if rank_x < rank_y else Order.RIGHT
 
 
-def precedes(sample: IcrtSample, loc: Located, i, k) -> np.ndarray:
-    """Pair by pair, whether `compare_canonical` puts point i of loc before
-    point k (LEFT or FRONT): the same meet walk, angles and ranks, on
-    arrays of indices."""
+def compare_many(sample: IcrtSample, loc: Located, i, k) -> np.ndarray:
+    """Pair by pair, the `Order` code (its value, "L", "F", ...) of
+    `compare_canonical` of point i of loc against point k: the same meet
+    walk, angles and ranks, on arrays of indices."""
     pos, ang, br = loc
     _, px, cx, py, cy = sample.skeleton.meet_walks(br[i], pos[i], br[k], pos[k])
     glued = np.r_[0.0, sample.angles.glue_angles]
@@ -137,8 +138,18 @@ def precedes(sample: IcrtSample, loc: Located, i, k) -> np.ndarray:
     cont = np.where(xs[j] == m, us[j], 0.5)
     ub, rank_y = np.where(px < py, cont, ub), np.where(px < py, -1, rank_y)
     ua, rank_x = np.where(py < px, cont, ua), np.where(py < px, -1, rank_x)
-    # LEFT, or equal angles where i ranks first (FRONT when i is the point)
-    return (ua < ub) | (~(ua > ub) & (rank_x < rank_y))
+    own_x, own_y = rank_x == -2, rank_y == -2
+    return np.select(
+        [ua < ub, ua > ub, own_x & own_y, own_x, own_y, rank_x < rank_y],
+        ["L", "R", "E", "F", "B", "L"],
+        "R",
+    )
+
+
+def precedes(sample: IcrtSample, loc: Located, i, k) -> np.ndarray:
+    """Pair by pair, whether `compare_canonical` puts point i of loc before
+    point k (LEFT or FRONT)."""
+    return np.isin(compare_many(sample, loc, i, k), ("L", "F"))
 
 
 def angle_toward(sample: IcrtSample, x: float, target) -> float:
@@ -170,52 +181,172 @@ def _side_terms(sample: IcrtSample, x: float, v: float, m: float, bm: int):
 
 
 class PathAtoms:
-    """Per edge c > 0 the `segment` a root path adds on parent[c] coming up
-    through c, `row(c)`: the exploration profile of the edge.  Rows and
-    each branch's atoms by position are built on first use and kept, one
-    table per sample (`of`)."""
+    """A sample's atoms by position after a sentinel, with each branch's
+    block [first, last) of them (`atoms`); per edge c > 0 the `segment` a
+    root path adds on parent[c] coming up through c, `row(c)`: the
+    exploration profile of the edge, and every row as `_ranges` (`edges`).
+    One table per sample, built on first use (`of`)."""
 
     def __init__(self, sample: IcrtSample):
         # no reference back to the sample, which keeps this table: the pair
         # is freed without waiting for the cycle collector
-        sk, n = sample.skeleton, sample.skeleton.n_branches
+        sk, blocks = sample.skeleton, sample.branch_atoms_idx
+        self.any = bool(sample.atom_index_at)  # atom-free walks return at once
+        size = np.fromiter(map(len, blocks), np.int64, len(blocks))
+        last = 1 + np.cumsum(size)
+        (xs, us), ix = sample._atoms_sorted, np.r_[-1, np.concatenate(blocks)]
+        self.atoms = xs, us, ix, last - size, last
+        self._xs, self._first = xs.tolist(), (last - size).tolist()
+        self._last = last.tolist()
+        self._list = list(zip(ix.tolist(), us.tolist(), self._xs))
         self.lo, self._parent = sk.lo.tolist(), sk.parent.tolist()
         self._glue = sk.glue_pos.tolist()
         self._tau = [0.0, *sample.angles.glue_angles.tolist()]  # branch_angle
-        self._angles = sample.angles.atom_angles.tolist()
-        self._pos, self._idx = sample.branch_atoms_pos, sample.branch_atoms_idx
         self._atom_at = sample.atom_index_at.get
-        self._atoms, self._rows = [None] * n, [None] * n
+        self._sk, self._edges = sk, None
+        self.recent = {}  # the last batches of `located_profiles`
 
     def segment(self, b: int, lo: float, top: float, tau) -> list:
         """Atoms of branch b strictly inside (lo, top) with their own
         angles, then the atom at top (if any) with angle tau, the angle
         toward the walker there; tau None leaves the top out.  Entries are
         (atom index, angle, position)."""
-        got = self._atoms[b]
-        if got is None:
-            pos, ul = self._pos[b].tolist(), self._angles
-            atoms = [(i, ul[i], x) for i, x in zip(self._idx[b].tolist(), pos)]
-            got = self._atoms[b] = pos, atoms
-        pos, atoms = got
-        out = atoms[bisect_right(pos, lo) : bisect_left(pos, top)] if atoms else []
+        if not self.any:
+            return []
+        start = min(max(bisect_right(self._xs, lo), self._first[b]), self._last[b])
+        stop = min(max(bisect_left(self._xs, top), start), self._last[b])
+        out = self._list[start:stop]
         i = None if tau is None else self._atom_at(top)
         if i is not None:
             out.append((i, tau, top))
         return out
 
     def row(self, c: int) -> list:
-        row = self._rows[c]
-        if row is None:
-            p, top = self._parent[c], self._glue[c]
-            row = self._rows[c] = self.segment(p, self.lo[p], top, self._tau[c])
-        return row
+        p = self._parent[c]
+        return self.segment(p, self.lo[p], self._glue[c], self._tau[c])
+
+    def edges(self) -> tuple:
+        """Per edge c, the `_ranges` of `row(c)` and its top angle."""
+        if self._edges is None:
+            p = np.maximum(self._sk.parent, 0)  # edge 0 is never read
+            rows = _ranges(self.atoms, p, self._sk.lo[p], self._sk.glue_pos)
+            self._edges = (*rows, np.asarray(self._tau))
+        return self._edges
 
     @staticmethod
     def of(sample: IcrtSample) -> "PathAtoms":
         if sample._path_atoms is None:
             sample._path_atoms = PathAtoms(sample)
         return sample._path_atoms
+
+
+def _ranges(atoms, b, lo, top) -> tuple:
+    """`PathAtoms.segment` of branches b on (lo, top), on arrays: the range
+    [start, stop) of the sorted atoms inside, and the sorted index of the
+    atom at top (0, the sentinel, for none)."""
+    xs, _, _, first, last = atoms
+    start = np.searchsorted(xs, lo, side="right")
+    start = np.minimum(np.maximum(start, first[b]), last[b])
+    stop = np.minimum(np.maximum(np.searchsorted(xs, top, side="left"), start), last[b])
+    j = np.searchsorted(xs, top, side="right") - 1
+    return start, stop, np.where(xs[j] == top, j, 0)
+
+
+class ProfileSet(NamedTuple):
+    """Root paths of located points (`profiles`), one padded row each: the
+    root depth; the chain (`br`, `top`; -1 and inf pad): the own branch and
+    the point, then each parent branch and the glue point the path comes up
+    through; the atoms on the path, each segment's by position with the
+    atom at its top last, as the chain level, the place in the sorted atoms
+    of `PathAtoms.atoms` and the angle toward the point (0, the sentinel 0
+    and 0.0 pad).  The atom index, -1 at a pad, is `ix[at]`, the position
+    `xs[at]`."""
+
+    depth: np.ndarray
+    br: np.ndarray
+    top: np.ndarray
+    lev: np.ndarray
+    at: np.ndarray
+    ang: np.ndarray
+
+
+def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> ProfileSet:
+    """The exploration profiles of located points, all chains climbed
+    together one level per step.  In walk order (own segment first) a row
+    lists the atoms of `path_atom_angles`, which leaves an atom at a top
+    within POINT_TOL of the root to the meet there.  root_first reverses
+    the segments and keeps that atom, as `LoopCloud` reads them."""
+    sk, pa = sample.skeleton, PathAtoms.of(sample)
+    n = loc.pos.size
+    depth = sk.attach_depth[loc.br] + np.maximum(loc.pos - sk.lo[loc.br], 0.0)
+    # one segment per point and chain level: its row, branch, exit and the
+    # edge the path came up through (-1 on the point's own branch)
+    levels, rows, b, x, c = [], np.arange(n), loc.br, loc.pos, np.full(n, -1)
+    while True:
+        levels.append((rows, b, x, c))
+        up = b > 0
+        rows, c = rows[up], b[up]
+        if not rows.size:
+            break
+        b, x = sk.parent[c], sk.glue_pos[c]
+    row, b, x, c = (np.concatenate(v) for v in zip(*levels))
+    col = np.repeat(np.arange(len(levels)), [v[0].size for v in levels])
+    if root_first:
+        col = np.bincount(row, minlength=n)[row] - 1 - col
+    br, top = np.full((n, len(levels)), -1), np.full((n, len(levels)), np.inf)
+    br[row, col], top[row, col] = b, x
+    # each segment's atoms: a range [start, stop) of the sorted atoms, then
+    # the atom at its top (0 for none) at angle tau
+    us = pa.atoms[1]
+    own = (*_ranges(pa.atoms, loc.br, sk.lo[loc.br], loc.pos), loc.ang)
+    segs = zip(own, pa.edges())
+    start, stop, t, tau = (np.concatenate((o, e[c[n:]])) for o, e in segs)
+    if not root_first:
+        t[(b == 0) & (x <= POINT_TOL)] = 0
+    # the first atom column of each segment: the atoms of the row's
+    # segments before it, in chain-column order
+    m, h = stop - start, np.flatnonzero(t > 0)
+    size = m + (t > 0)
+    total = np.bincount(row, size, minlength=n).astype(np.int64)
+    order = np.lexsort((col, row))
+    before = np.cumsum(size[order]) - size[order]
+    off = np.empty_like(before)
+    off[order] = before - (np.cumsum(total) - total)[row[order]]
+    a = int(total.max(initial=0))
+    lev, at = np.zeros((n, a), np.int32), np.zeros((n, a), np.int32)
+    ang = np.zeros((n, a))
+    # the atoms inside each segment, then the one at its top
+    r = np.repeat(np.arange(m.size), m)
+    k = np.arange(r.size) - np.repeat(np.cumsum(m) - m, m)
+    sel, src = np.concatenate((r, h)), np.concatenate((start[r] + k, t[h]))
+    rr, cc = row[sel], off[sel] + np.concatenate((k, m[h]))
+    lev[rr, cc], at[rr, cc], ang[rr, cc] = col[sel], src, us[src]
+    ang[rr[r.size :], cc[r.size :]] = tau[h]
+    return ProfileSet(depth, br, top, lev, at, ang)
+
+
+def located_profiles(sample: IcrtSample, points) -> tuple:
+    """`locate` and `profiles` of a list of points.  The last 8 batches are
+    kept on the sample's `PathAtoms`: field realizations drawn on the same
+    point sets walk each once."""
+    pa, key = PathAtoms.of(sample), tuple(map(tuple, points))
+    got = pa.recent.get(key)
+    if got is None:
+        loc = locate(sample, key)
+        got = pa.recent[key] = loc, profiles(sample, loc)
+        if len(pa.recent) > 8:
+            del pa.recent[next(iter(pa.recent))]
+    return got
+
+
+def lukasiewicz_values(sample: IcrtSample, prof: ProfileSet) -> np.ndarray:
+    """`lukasiewicz_value` of each profiled point, bit for bit: the atom
+    terms added one column at a time, in walk order (a pad adds 0.0)."""
+    ws = np.append(sample.measure.ws, 0.0)[PathAtoms.of(sample).atoms[2]]
+    tail = np.zeros(prof.depth.size)
+    for j, u in zip(prof.at.T, prof.ang.T):
+        tail += ws[j] * (1.0 - u)
+    return 0.5 * sample.measure.theta0_sq * prof.depth + tail
 
 
 def path_atom_angles(sample: IcrtSample, alpha) -> list:
@@ -230,17 +361,10 @@ def lukasiewicz_value(sample: IcrtSample, alpha) -> float:
     """theta0^2/2 * root depth plus sum of theta_i (1 - angle toward alpha)
     over root-path atoms."""
     a = _check_loop_point(sample, alpha)
-    depth = sample.skeleton.depth(a.pos)
-    return _lukasiewicz(sample, depth, path_atom_angles(sample, alpha))
-
-
-def _lukasiewicz(sample: IcrtSample, depth: float, terms) -> float:
-    """`lukasiewicz_value` of a checked point from its root depth and its
-    `path_atom_angles`."""
     ws, tail = sample.measure._ws, 0.0
-    for i, u in terms:  # not sum(), which compensates from Python 3.12 on
-        tail += ws[i] * (1.0 - u)
-    return 0.5 * sample.measure.theta0_sq * depth + tail
+    for i, u in path_atom_angles(sample, alpha):  # not sum(), which
+        tail += ws[i] * (1.0 - u)  # compensates from Python 3.12 on
+    return 0.5 * sample.measure.theta0_sq * sample.skeleton.depth(a.pos) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +624,24 @@ def sample_loop_point(sample: IcrtSample, l: float, rng) -> LoopPoint:
     return LoopPoint(sample.measure.draw_position(l, rng), rng.random())
 
 
+def sample_loop_points(sample: IcrtSample, l: float, rng, n: int) -> list:
+    """n `sample_loop_point` draws, bit for bit and leaving rng in the same
+    state: one (n, 2) block of uniforms, position first and angle second,
+    with `MeasureState._invert` on arrays."""
+    m, u = sample.measure, rng.random((n, 2))
+    tot = m.mass_prefix(l)
+    if n and tot <= 0:
+        raise SamplerError("cannot draw from a zero measure")
+    r, leb = u[:, 0] * tot, m.theta0_sq * l
+    pos = np.divide(r, m.theta0_sq, out=np.zeros(n), where=r < leb)
+    atom = r >= leb
+    if np.any(atom):  # the atoms in position order
+        i = bisect_right(m._xs, l)
+        j = np.searchsorted(m.cum_sorted[1 : i + 1], r[atom] - leb, side="right")
+        pos[atom] = m.xs_sorted[np.minimum(j, i - 1)]
+    return list(map(LoopPoint, pos.tolist(), u[:, 1].tolist()))
+
+
 def monte_carlo_left_mass(
     sample: IcrtSample, l: float, alpha, rng, n: int = 100_000
 ) -> tuple[float, float]:
@@ -508,10 +650,7 @@ def monte_carlo_left_mass(
     Returns (estimate, standard error), both in mass units.
     """
     tot = sample.mass_prefix(l)
-    hits = 0
-    for _ in range(n):
-        beta = sample_loop_point(sample, l, rng)
-        if compare(sample, beta, alpha) is Order.LEFT:
-            hits += 1
-    p = hits / n
+    loc = locate(sample, [*sample_loop_points(sample, l, rng, n), alpha])
+    order = compare_many(sample, loc, np.arange(n), np.full(n, n))
+    p = int(np.count_nonzero(order == Order.LEFT.value)) / n
     return tot * p, tot * np.sqrt(p * (1.0 - p) / n)

@@ -1,3 +1,4 @@
+import math
 from functools import cmp_to_key
 
 import numpy as np
@@ -22,6 +23,7 @@ from icrt_lab import (
     sample_loop_point,
     snake_eval,
 )
+from icrt_lab.fields import _BRIDGE_TAG, _TREE_TAG, _LazyGaussianPath
 from icrt_lab.contour import (
     ContourError,
     _eval_indices,
@@ -31,7 +33,14 @@ from icrt_lab.contour import (
     scatter_svg,
 )
 from icrt_lab.loopmetric import project_loop
-from icrt_lab.plane import compare_canonical, left_fractions
+from icrt_lab.plane import (
+    _check_loop_point,
+    compare_canonical,
+    left_fractions,
+    lukasiewicz_value,
+    path_atom_angles,
+)
+from icrt_lab.skeleton import POINT_TOL
 from icrt_lab.util import keyed_generator
 
 
@@ -71,6 +80,60 @@ def _contour_sorted(sample, points):
         return -1 if out in (Order.LEFT, Order.FRONT) else 1
 
     return sorted(points, key=cmp_to_key(cmp))
+
+
+def _fennec_by_insert(r, alphas) -> list:
+    """`fennec_values` of realization r by scalar walks and
+    `_LazyGaussianPath.insert` alone: each path r lacks is created, then
+    every path refined by `insert_batch` of the batch's positions."""
+    s, sk = r.sample, r.sample.skeleton
+    pts = [_check_loop_point(s, a) for a in alphas]
+    terms = [path_atom_angles(s, p) for p in pts]
+    angles = {}
+    for i, u in (t for ts in terms for t in ts):
+        angles.setdefault(i, set()).add(u)
+    for i in sorted(angles):
+        key = (r.seed, _BRIDGE_TAG, i)
+        r._bridges.setdefault(i, _LazyGaussianPath(key, 0.0, pinned_end=(1.0, 0.0)))
+        r._bridges[i].insert_batch(angles[i])
+    theta0 = math.sqrt(s.measure.theta0_sq)
+    on = [(sk.branch_of(p.pos), p.pos) for p in pts if p.pos > POINT_TOL]
+    offsets = {}
+    for b, x in on:
+        offsets.setdefault(b, set()).add(x - float(sk.lo[b]))
+    for b in list(offsets):  # the glue points on each root path
+        for a, g, child in sk.ascend(float(sk.hi[b])):
+            if child >= 0 and g > POINT_TOL:
+                offsets.setdefault(a, set()).add(g - float(sk.lo[a]))
+    for b in sorted(offsets) if theta0 > 0 else []:
+        if b not in r._branches:
+            g, base = float(sk.glue_pos[b]), 0.0
+            if g > POINT_TOL:
+                pb = int(sk.parent[b])
+                base = r._branches[pb].value(g - float(sk.lo[pb]))
+            r._branches[b] = _LazyGaussianPath((r.seed, _TREE_TAG, b), base)
+        r._branches[b].insert_batch(offsets[b])
+    out = []
+    for p, ts in zip(pts, terms):
+        b, g = sk.branch_of(p.pos), 0.0
+        if theta0 and p.pos > POINT_TOL:
+            g = r._branches[b].value(p.pos - sk.lo[b])
+        tail = 0.0
+        for i, u in ts:
+            tail += math.sqrt(s.measure.ws[i]) * r._bridges[i].value(u)
+        out.append(theta0 / math.sqrt(6.0) * g + tail)
+    return out
+
+
+def _same_paths(r1, r2) -> bool:
+    def paths(r):
+        return {
+            (k, tag): (p.pos, p.val)
+            for tag in ("_branches", "_bridges")
+            for k, p in getattr(r, tag).items()
+        }
+
+    return paths(r1) == paths(r2)
 
 
 class TestTable:
@@ -225,6 +288,36 @@ class TestProcesses:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "t,height,lukasiewicz,snake"
+
+    def test_grid_columns_equal_scalar_oracles(
+        self, mixed_table, tied_tables, cycle_table, brownian_sample
+    ):
+        brownian = build_contour_table(
+            brownian_sample, resolution=500, rng=keyed_generator(3, 3)
+        )
+        for table in (mixed_table, *tied_tables, cycle_table, brownian):
+            s = table.sample
+            grid = process_grid(table, FieldRealization(s, 21), 1024)
+            pts = [contour_eval(table, t) for t in grid["t"].tolist()]
+            assert grid["height"].tolist() == [height_eval(table, t) for t in grid["t"]]
+            luk = [lukasiewicz_value(s, p) for p in pts]
+            assert grid["lukasiewicz"].tolist() == luk
+            snake = grid["snake"].tolist()
+            assert snake == FieldRealization(s, 21).fennec_values(pts).tolist()
+            assert snake == _fennec_by_insert(FieldRealization(s, 21), pts)
+
+    def test_grid_on_realization_with_values(self, mixed_table, tied_tables):
+        for table in (mixed_table, *tied_tables):
+            s = table.sample
+            rng = np.random.default_rng(23)
+            # values on part of the grid's paths first, then the grid
+            first = [table.points[k] for k in rng.integers(len(table), size=40)]
+            r, ref = FieldRealization(s, 22), FieldRealization(s, 22)
+            assert r.fennec_values(first).tolist() == _fennec_by_insert(ref, first)
+            grid = process_grid(table, r, 1024)
+            pts = [contour_eval(table, t) for t in grid["t"].tolist()]
+            assert grid["snake"].tolist() == _fennec_by_insert(ref, pts)
+            assert _same_paths(r, ref)
 
     def test_snake_variance_matches_metric(self, powerlaw_sample):
         from icrt_lab import gff_distance

@@ -16,7 +16,14 @@ from icrt_lab import (
     sample_loop_point,
     uniform_tail,
 )
-from icrt_lab.fields import FieldError, atom_probe_points, export_field_trace
+from icrt_lab.fields import (
+    _BRIDGE_TAG,
+    _TREE_TAG,
+    FieldError,
+    _LazyGaussianPath,
+    atom_probe_points,
+    export_field_trace,
+)
 from icrt_lab.plane import path_atom_angles
 from icrt_lab.util import keyed_generator
 
@@ -91,6 +98,39 @@ class TestBridges:
     def test_angle_range(self, hand_sample):
         with pytest.raises(FieldError):
             FieldRealization(hand_sample, 0).bridge_value(0, 1.5)
+
+
+class TestFreshFill:
+    def test_tree_extend_equals_insert_batch(self):
+        rng = np.random.default_rng(13)
+        for k, held in ((0, []), (1, []), (7, []), (50, []), (9, [0.05, 0.1])):
+            s = np.unique(0.1 + 3.0 * rng.random(k)).tolist()
+            a = _LazyGaussianPath((3, _TREE_TAG, 5), 0.25)
+            b = _LazyGaussianPath((3, _TREE_TAG, 5), 0.25)
+            a.insert_batch(held)  # a path that already holds values
+            a.extend(s)
+            b.insert_batch(held + s)
+            assert (a.pos, a.val) == (b.pos, b.val)
+            assert a.insert(1.5) == b.insert(1.5)
+
+    def test_bridge_fill_equals_insert_batch(self, powerlaw_sample):
+        rng = np.random.default_rng(12)
+        pool = [0.0, 1.0, *rng.random(30).tolist()]
+        idx = rng.integers(-1, 15, size=(60, 9))  # -1 pads
+        ang = rng.choice(pool, size=idx.shape)
+        idx[0, :3], ang[0, :3] = 20, [0.0, 1.0, 0.0]  # a bridge with no draw
+        r = FieldRealization(powerlaw_sample, 31)
+        # place j of the sorted atoms holds atom j - 1; place 0 pads
+        got = r._bridge_table(np.arange(-1, 21), idx + 1, ang)
+        assert np.all(got[idx < 0] == 0.0)
+        for i in set(idx[idx >= 0].tolist()):
+            ref = _LazyGaussianPath((31, _BRIDGE_TAG, i), 0.0, pinned_end=(1.0, 0.0))
+            ref.insert_batch(ang[idx == i].tolist())
+            path = r._bridges[i]
+            assert (path.pos, path.val) == (ref.pos, ref.val)
+            assert (path._rng is None) == (ref._rng is None)
+            assert got[idx == i].tolist() == [ref.value(u) for u in ang[idx == i]]
+            assert path.insert(0.123) == ref.insert(0.123)  # the same stream on
 
 
 class TestFennec:

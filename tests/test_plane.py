@@ -25,16 +25,21 @@ from icrt_lab import (
 from icrt_lab.analysis import LoopCloud
 from icrt_lab.plane import (
     LoopPoint,
+    PathAtoms,
     PlaneError,
     _check_loop_point,
     _directional_masses,
     _side_terms,
     compare_canonical,
+    compare_many,
     left_fractions,
     locate,
+    lukasiewicz_values,
     monte_carlo_left_mass,
     path_atom_angles,
     precedes,
+    profiles,
+    sample_loop_points,
 )
 from icrt_lab.skeleton import POINT_TOL
 from icrt_lab.util import keyed_generator
@@ -65,6 +70,51 @@ def _corner_points(sample):
     sk = sample.skeleton
     xs = {0.0, *sk.cuts.tolist(), *sk.glues.tolist(), *sample.atom_index_at}
     return [(x, u) for x in sorted(xs) for u in np.linspace(0.0, 1.0, 9).tolist()]
+
+
+def _tie_samples():
+    """The `hand_sample` layout with tied angles: both glues at 0.5 at angle
+    0.7, and glues at 0.5 and 1.5 with a glue angle of 0.5 off the atoms."""
+
+    def build(glues, glue_angles):
+        spec = ThetaSpec(math.sqrt(0.55), (0.6, 0.3))
+        measure = MeasureState(0.55, [0.25, 1.25], [0.6, 0.3])
+        angles = AngleTable([0.2, 0.8], glue_angles)
+        return assemble_sample(spec, measure, [1.0, 2.0], glues, angles, 3.0)
+
+    return [build([0.5, 0.5], [0.7, 0.7]), build([0.5, 1.5], [0.5, 0.4])]
+
+
+class TestBatchedDraws:
+    def test_sample_loop_points_equal_scalar_draws(
+        self, hand_sample, powerlaw_sample, brownian_sample, cycle_sample
+    ):
+        for s in (hand_sample, powerlaw_sample, brownian_sample, cycle_sample):
+            for l in (s.level, 0.5 * s.level):
+                r1, r2 = keyed_generator(4, 1), keyed_generator(4, 1)
+                got = sample_loop_points(s, l, r1, 500)
+                assert got == [sample_loop_point(s, l, r2) for _ in range(500)]
+                assert r1.bit_generator.state == r2.bit_generator.state
+                assert sample_loop_points(s, l, r1, 0) == []
+
+    def test_compare_many_equals_compare_canonical(self, hand_sample, brownian_sample):
+        zero = sample_icrt(ThetaSpec.power_law(1.5, 50), 0, StopRule(max_branches=40))
+        seen = set()
+        for s in (hand_sample, *_tie_samples(), brownian_sample, zero):
+            rng = np.random.default_rng(3)
+            pts = _corner_points(s) + sample_loop_points(s, s.level, rng, 200)
+            loc = locate(s, pts)
+            canon = list(map(LoopPoint, loc.pos.tolist(), loc.ang.tolist()))
+            n = len(canon)
+            i = np.r_[rng.integers(n, size=3000), np.arange(n)]
+            k = np.r_[rng.integers(n, size=3000), np.arange(n)]
+            want = [
+                compare_canonical(s, canon[a], canon[b]).value
+                for a, b in zip(i.tolist(), k.tolist())
+            ]
+            assert compare_many(s, loc, i, k).tolist() == want
+            seen.update(want)
+        assert seen == {o.value for o in Order}
 
 
 class TestAngles:
@@ -213,6 +263,19 @@ class TestMasses:
                 exact = left_mass(s, s.level, a)
                 mc, se = monte_carlo_left_mass(s, s.level, a, rng, 20_000)
                 assert abs(exact - mc) <= 5 * max(se, 1e-12)
+
+    def test_monte_carlo_equals_scalar_draws(self, hand_sample, powerlaw_sample):
+        for s in (hand_sample, powerlaw_sample, *_tie_samples()):
+            a = sample_loop_point(s, s.level, np.random.default_rng(8))
+            rng, n = keyed_generator(5, 5), 3000
+            hits = sum(
+                compare(s, sample_loop_point(s, s.level, rng), a) is Order.LEFT
+                for _ in range(n)
+            )
+            p, tot = hits / n, s.mass_prefix(s.level)
+            want = (tot * p, tot * np.sqrt(p * (1.0 - p) / n))
+            got = monte_carlo_left_mass(s, s.level, a, keyed_generator(5, 5), n)
+            assert got == want
 
     def test_left_fraction(self, hand_sample):
         s = hand_sample
@@ -458,10 +521,38 @@ class TestBatchedOracles:
     def test_cloud_profiles_equal_segment_walk(self, powerlaw_sample):
         for s, pts, _ in _oracle_cases(powerlaw_sample):
             cloud = LoopCloud(s, s.level, pts)
-            for p in cloud.points:
-                _, _, atoms = cloud._profile(p)
+            for k, p in enumerate(cloud.points):
                 want = np.asarray(_profile_atoms_reference(s, p), dtype=float)
-                assert np.array_equal(atoms, want.reshape(-1, 4))
+                lev, i, u, x = want.reshape(-1, 4).T
+                m = i.size
+                assert np.array_equal(cloud._AK[k, :m], lev * cloud._key_base + x)
+                assert np.all(cloud._AK[k, m:] == np.inf)
+                assert cloud._AI[k, :m].tolist() == i.astype(int).tolist()
+                assert np.array_equal(cloud._AA[k, :m], u)
+
+    def test_profiles_equal_path_atom_angles(self, powerlaw_sample, brownian_sample):
+        cases = [*_oracle_cases(powerlaw_sample)]
+        rng = np.random.default_rng(5)
+        cases.append((brownian_sample, _corner_points(brownian_sample) + [
+            sample_loop_point(brownian_sample, brownian_sample.level, rng)
+            for _ in range(200)
+        ], None))
+        for s, pts, _ in cases:
+            loc = locate(s, pts)
+            prof = profiles(s, loc)
+            luk = lukasiewicz_values(s, prof)
+            ix = PathAtoms.of(s).atoms[2]
+            for k, a in enumerate(map(LoopPoint, loc.pos.tolist(), loc.ang.tolist())):
+                want = path_atom_angles(s, a)
+                m = len(want)
+                assert ix[prof.at[k, :m]].tolist() == [i for i, _ in want]
+                assert prof.ang[k, :m].tolist() == [u for _, u in want]
+                assert prof.at[k, m:].tolist() == [0] * (prof.at.shape[1] - m)
+                chain = list(s.skeleton.ascend(a.pos))
+                assert prof.br[k, : len(chain)].tolist() == [b for b, _, _ in chain]
+                assert prof.top[k, : len(chain)].tolist() == [t for _, t, _ in chain]
+                assert prof.depth[k] == s.skeleton.depth(a.pos)
+                assert luk[k] == lukasiewicz_value(s, a)
 
     def test_contour_build_equals_scalar_pass(
         self, powerlaw_sample, brownian_sample, monkeypatch
