@@ -29,14 +29,19 @@ from .plane import (
     LoopPoint,
     PathAtoms,
     _check_loop_point,
-    located_profiles,
+    locate,
     path_atom_angles,
+    profiles,
 )
 from .util import fmt17, keyed_generator
 
 _TREE_TAG = 101
 _BRIDGE_TAG = 102
 _GENERAL_TAG = 103
+# `fennec_values` of fewer points walks each root path in Python; from
+# about this many on, one `profiles` pass costs less (timed on fresh
+# realizations of Brownian and power-law samples of 8 to 1,000 branches)
+_PROFILE_BATCH = 32
 
 
 class FieldError(ValueError):
@@ -81,17 +86,19 @@ class _LazyGaussianPath:
         return v
 
     def extend(self, positions) -> None:
-        """`insert_batch` of sorted positions past the last one: each value
-        is the previous one plus sqrt(ds) times a normal, one cumsum."""
+        """`insert_batch` of sorted positions past the last one: from six
+        on, where it costs less, each value is the previous one plus
+        sqrt(ds) times a normal, one cumsum."""
+        if len(positions) < 6:
+            return self.insert_batch(positions)
         s = np.asarray(positions, dtype=float)
-        if s.size:
-            steps = np.empty(s.size + 1)
-            steps[0], steps[1:] = self.val[-1], s
-            steps[2:] -= s[:-1]
-            steps[1] -= self.pos[-1]
-            steps[1:] = np.sqrt(steps[1:]) * self._gen().standard_normal(s.size)
-            self.val += np.cumsum(steps)[1:].tolist()
-            self.pos += s.tolist()
+        steps = np.empty(s.size + 1)
+        steps[0], steps[1:] = self.val[-1], s
+        steps[2:] -= s[:-1]
+        steps[1] -= self.pos[-1]
+        steps[1:] = np.sqrt(steps[1:]) * self._gen().standard_normal(s.size)
+        self.val += np.cumsum(steps)[1:].tolist()
+        self.pos += s.tolist()
 
     def insert_batch(self, positions) -> None:
         for s in sorted(positions):
@@ -183,23 +190,43 @@ class FieldRealization:
     # ------------------------------------------------------------------
     def fennec_values(self, alphas) -> np.ndarray:
         """Combined field at loop points (batch, order-independent)."""
-        return self._fennec_values(*located_profiles(self.sample, alphas))
+        if len(alphas) >= _PROFILE_BATCH:
+            loc = locate(self.sample, alphas)
+            return self._fennec_values(loc, profiles(self.sample, loc))
+        return self._fennec_walks([_check_loop_point(self.sample, a) for a in alphas])
+
+    def _tree_part(self, pos) -> np.ndarray:
+        """The tree term of the fennec, theta0/sqrt(6) times the tree field."""
+        theta0 = math.sqrt(self.sample.measure.theta0_sq)
+        g = self.tree_values(pos) if theta0 > 0 else np.zeros(len(pos))
+        return theta0 / math.sqrt(6.0) * g
+
+    def _fennec_walks(self, pts) -> np.ndarray:
+        """`fennec_values` of checked points by one `path_atom_angles` walk
+        each, every bridge refined by `insert`."""
+        per_point = [path_atom_angles(self.sample, a) for a in pts]
+        needs: dict[int, set] = {}
+        for i, u in (t for terms in per_point for t in terms):
+            needs.setdefault(i, set()).add(u)
+        for i, angs in needs.items():
+            self._bridge(i).insert_batch(angs)
+        sq, tail = np.sqrt(self.sample.measure.ws).tolist(), []
+        for terms in per_point:
+            t = 0.0
+            for i, u in terms:  # not sum(), which compensates from Python 3.12 on
+                t += sq[i] * self._bridges[i].value(u)
+            tail.append(t)
+        return self._tree_part([a.pos for a in pts]) + np.asarray(tail)
 
     def _fennec_values(self, loc, prof) -> np.ndarray:
         """`fennec_values` of located points from their `profiles`: the
         bridge terms added one column at a time, in walk order."""
-        sample = self.sample
-        theta0 = math.sqrt(sample.measure.theta0_sq)
-        if theta0 > 0:
-            g = self.tree_values(loc.pos)
-        else:
-            g = np.zeros(loc.pos.size)
-        ix = PathAtoms.of(sample).atoms[2]
-        sq = np.append(np.sqrt(sample.measure.ws), 0.0)[ix]  # a pad reads 0.0
+        ix = PathAtoms.of(self.sample).atoms[2]
+        sq = np.append(np.sqrt(self.sample.measure.ws), 0.0)[ix]  # a pad reads 0.0
         tail = np.zeros(loc.pos.size)
         for j, v in zip(prof.at.T, self._bridge_table(ix, prof.at, prof.ang).T):
             tail += sq[j] * v  # not sum(), which compensates from Python 3.12 on
-        return theta0 / math.sqrt(6.0) * g + tail
+        return self._tree_part(loc.pos) + tail
 
     def _bridge_table(self, ix, at, ang) -> np.ndarray:
         """Bridge ix[j] at angle u for each (j, u) of the padded arrays of a

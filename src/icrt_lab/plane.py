@@ -183,28 +183,28 @@ def _side_terms(sample: IcrtSample, x: float, v: float, m: float, bm: int):
 class PathAtoms:
     """A sample's atoms by position after a sentinel, with each branch's
     block [first, last) of them (`atoms`); per edge c > 0 the `segment` a
-    root path adds on parent[c] coming up through c, `row(c)`: the
-    exploration profile of the edge, and every row as `_ranges` (`edges`).
-    One table per sample, built on first use (`of`)."""
+    root path adds on parent[c] coming up through c: `edges` as arrays
+    (`_ranges`, then the glue angle), `row(c)` as a list.  One table per
+    sample, built on first use (`of`)."""
 
     def __init__(self, sample: IcrtSample):
         # no reference back to the sample, which keeps this table: the pair
         # is freed without waiting for the cycle collector
         sk, blocks = sample.skeleton, sample.branch_atoms_idx
-        self.any = bool(sample.atom_index_at)  # atom-free walks return at once
         size = np.fromiter(map(len, blocks), np.int64, len(blocks))
         last = 1 + np.cumsum(size)
         (xs, us), ix = sample._atoms_sorted, np.r_[-1, np.concatenate(blocks)]
         self.atoms = xs, us, ix, last - size, last
+        p = np.maximum(sk.parent, 0)  # edge 0 is never read
+        tau = np.r_[0.0, sample.angles.glue_angles]  # branch_angle
+        self.edges = (*_ranges(self.atoms, p, sk.lo[p], sk.glue_pos), tau)
+        # the scalar walks; they return at once on a sample without atoms
+        self.any = bool(sample.atom_index_at)
         self._xs, self._first = xs.tolist(), (last - size).tolist()
-        self._last = last.tolist()
+        self._last, self.lo = last.tolist(), sk.lo.tolist()
         self._list = list(zip(ix.tolist(), us.tolist(), self._xs))
-        self.lo, self._parent = sk.lo.tolist(), sk.parent.tolist()
-        self._glue = sk.glue_pos.tolist()
-        self._tau = [0.0, *sample.angles.glue_angles.tolist()]  # branch_angle
+        self._rows = list(zip(*(v.tolist() for v in self.edges))) if self.any else []
         self._atom_at = sample.atom_index_at.get
-        self._sk, self._edges = sk, None
-        self.recent = {}  # the last batches of `located_profiles`
 
     def segment(self, b: int, lo: float, top: float, tau) -> list:
         """Atoms of branch b strictly inside (lo, top) with their own
@@ -213,8 +213,10 @@ class PathAtoms:
         (atom index, angle, position)."""
         if not self.any:
             return []
-        start = min(max(bisect_right(self._xs, lo), self._first[b]), self._last[b])
-        stop = min(max(bisect_left(self._xs, top), start), self._last[b])
+        start, stop = _inside(
+            bisect_right(self._xs, lo), bisect_left(self._xs, top),
+            self._first[b], self._last[b], max, min,
+        )
         out = self._list[start:stop]
         i = None if tau is None else self._atom_at(top)
         if i is not None:
@@ -222,16 +224,13 @@ class PathAtoms:
         return out
 
     def row(self, c: int) -> list:
-        p = self._parent[c]
-        return self.segment(p, self.lo[p], self._glue[c], self._tau[c])
-
-    def edges(self) -> tuple:
-        """Per edge c, the `_ranges` of `row(c)` and its top angle."""
-        if self._edges is None:
-            p = np.maximum(self._sk.parent, 0)  # edge 0 is never read
-            rows = _ranges(self.atoms, p, self._sk.lo[p], self._sk.glue_pos)
-            self._edges = (*rows, np.asarray(self._tau))
-        return self._edges
+        if not self.any:
+            return []
+        start, stop, t, tau = self._rows[c]
+        out = self._list[start:stop]
+        if t:
+            out.append((self._list[t][0], tau, self._xs[t]))
+        return out
 
     @staticmethod
     def of(sample: IcrtSample) -> "PathAtoms":
@@ -240,16 +239,24 @@ class PathAtoms:
         return sample._path_atoms
 
 
+def _inside(start, stop, first, last, hi, lo) -> tuple:
+    """A range [start, stop) of the sorted atoms clamped into a branch's
+    block [first, last), by hi = max and lo = min on scalars or their numpy
+    forms on arrays."""
+    start = lo(hi(start, first), last)
+    return start, lo(hi(stop, start), last)
+
+
 def _ranges(atoms, b, lo, top) -> tuple:
     """`PathAtoms.segment` of branches b on (lo, top), on arrays: the range
     [start, stop) of the sorted atoms inside, and the sorted index of the
     atom at top (0, the sentinel, for none)."""
     xs, _, _, first, last = atoms
     start = np.searchsorted(xs, lo, side="right")
-    start = np.minimum(np.maximum(start, first[b]), last[b])
-    stop = np.minimum(np.maximum(np.searchsorted(xs, top, side="left"), start), last[b])
+    stop = np.searchsorted(xs, top, side="left")
     j = np.searchsorted(xs, top, side="right") - 1
-    return start, stop, np.where(xs[j] == top, j, 0)
+    ins = _inside(start, stop, first[b], last[b], np.maximum, np.minimum)
+    return (*ins, np.where(xs[j] == top, j, 0))
 
 
 class ProfileSet(NamedTuple):
@@ -281,14 +288,10 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
     depth = sk.attach_depth[loc.br] + np.maximum(loc.pos - sk.lo[loc.br], 0.0)
     # one segment per point and chain level: its row, branch, exit and the
     # edge the path came up through (-1 on the point's own branch)
-    levels, rows, b, x, c = [], np.arange(n), loc.br, loc.pos, np.full(n, -1)
-    while True:
-        levels.append((rows, b, x, c))
-        up = b > 0
-        rows, c = rows[up], b[up]
-        if not rows.size:
-            break
-        b, x = sk.parent[c], sk.glue_pos[c]
+    levels = [(np.arange(n), loc.br, loc.pos, np.full(n, -1))]
+    while np.any(up := levels[-1][1] > 0):
+        rows, c = levels[-1][0][up], levels[-1][1][up]
+        levels.append((rows, sk.parent[c], sk.glue_pos[c], c))
     row, b, x, c = (np.concatenate(v) for v in zip(*levels))
     col = np.repeat(np.arange(len(levels)), [v[0].size for v in levels])
     if root_first:
@@ -299,7 +302,7 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
     # the atom at its top (0 for none) at angle tau
     us = pa.atoms[1]
     own = (*_ranges(pa.atoms, loc.br, sk.lo[loc.br], loc.pos), loc.ang)
-    segs = zip(own, pa.edges())
+    segs = zip(own, pa.edges)
     start, stop, t, tau = (np.concatenate((o, e[c[n:]])) for o, e in segs)
     if not root_first:
         t[(b == 0) & (x <= POINT_TOL)] = 0
@@ -323,20 +326,6 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
     lev[rr, cc], at[rr, cc], ang[rr, cc] = col[sel], src, us[src]
     ang[rr[r.size :], cc[r.size :]] = tau[h]
     return ProfileSet(depth, br, top, lev, at, ang)
-
-
-def located_profiles(sample: IcrtSample, points) -> tuple:
-    """`locate` and `profiles` of a list of points.  The last 8 batches are
-    kept on the sample's `PathAtoms`: field realizations drawn on the same
-    point sets walk each once."""
-    pa, key = PathAtoms.of(sample), tuple(map(tuple, points))
-    got = pa.recent.get(key)
-    if got is None:
-        loc = locate(sample, key)
-        got = pa.recent[key] = loc, profiles(sample, loc)
-        if len(pa.recent) > 8:
-            del pa.recent[next(iter(pa.recent))]
-    return got
 
 
 def lukasiewicz_values(sample: IcrtSample, prof: ProfileSet) -> np.ndarray:

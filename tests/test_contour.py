@@ -23,7 +23,7 @@ from icrt_lab import (
     sample_loop_point,
     snake_eval,
 )
-from icrt_lab.fields import _BRIDGE_TAG, _TREE_TAG, _LazyGaussianPath
+from icrt_lab.fields import _BRIDGE_TAG, _PROFILE_BATCH, _TREE_TAG, _LazyGaussianPath
 from icrt_lab.contour import (
     ContourError,
     _eval_indices,
@@ -317,6 +317,18 @@ class TestProcesses:
             grid = process_grid(table, r, 1024)
             pts = [contour_eval(table, t) for t in grid["t"].tolist()]
             assert grid["snake"].tolist() == _fennec_by_insert(ref, pts)
+            assert _same_paths(r, ref)
+
+    def test_walk_and_profile_routes_agree(self, mixed_table, tied_tables):
+        # fennec_values walks batches below _PROFILE_BATCH points, profiles
+        # larger ones; both on fresh paths and on paths that hold values
+        for table in (mixed_table, *tied_tables):
+            rng = np.random.default_rng(24)
+            pts = [table.points[k] for k in rng.integers(len(table), size=80)]
+            small, big = pts[: _PROFILE_BATCH - 1], pts[_PROFILE_BATCH - 1 :]
+            r, ref = FieldRealization(table.sample, 25), FieldRealization(table.sample, 25)
+            for batch in (small, big, small[:3]):
+                assert r.fennec_values(batch).tolist() == _fennec_by_insert(ref, batch)
             assert _same_paths(r, ref)
 
     def test_snake_variance_matches_metric(self, powerlaw_sample):
