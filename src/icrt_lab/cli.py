@@ -193,18 +193,16 @@ def cmd_process(args) -> int:
     grid = export_process_csv(path, table, realization, args.grid)
     print(path)
     if args.svg:
-        for col in ("height", "lukasiewicz", "snake"):
-            svg = polyline_svg(grid["t"], grid[col], label=col)
-            svg_path = path.rsplit(".", 1)[0] + f"_{col}.svg"
+        sk, loc = table.sample.skeleton, table.loc
+        depths = sk.attach_depth[loc.br] + np.maximum(loc.pos - sk.lo[loc.br], 0.0)
+        cols = ("height", "lukasiewicz", "snake")
+        svgs = {c: polyline_svg(grid["t"], grid[c], label=c) for c in cols}
+        svgs["scatter"] = scatter_svg(table.ts, depths, label="depth vs left fraction")
+        for name, svg in svgs.items():
+            svg_path = path.rsplit(".", 1)[0] + f"_{name}.svg"
             with open(svg_path, "w") as fh:
                 fh.write(svg)
             print(svg_path)
-        depths = [table.sample.skeleton.depth(p.pos) for p in table.points]
-        svg = scatter_svg(table.ts, depths, label="depth vs left fraction")
-        svg_path = path.rsplit(".", 1)[0] + "_scatter.svg"
-        with open(svg_path, "w") as fh:
-            fh.write(svg)
-        print(svg_path)
     return 0
 
 

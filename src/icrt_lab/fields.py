@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import accumulate, islice
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,7 @@ from .plane import (
     path_atom_angles,
     profiles,
 )
-from .util import fmt17, keyed_generator
+from .util import fmt17, keyed_generator, keyed_normals
 
 _TREE_TAG = 101
 _BRIDGE_TAG = 102
@@ -49,9 +50,10 @@ class FieldError(ValueError):
 
 
 class _LazyGaussianPath:
-    """Exact conditional Gaussian values along one segment (local coords)."""
+    """Exact conditional Gaussian values along one segment (local coords).
+    `drawn` counts the normals of the key's stream used; `_gen` skips them."""
 
-    __slots__ = ("pos", "val", "key", "_rng")
+    __slots__ = ("pos", "val", "key", "drawn", "_rng")
 
     def __init__(self, key, base: float, pinned_end: tuple | None = None):
         self.pos = [0.0]
@@ -60,11 +62,13 @@ class _LazyGaussianPath:
             self.pos.append(float(pinned_end[0]))
             self.val.append(float(pinned_end[1]))
         self.key = key
-        self._rng = None
+        self.drawn, self._rng = 0, None
 
     def _gen(self) -> np.random.Generator:
         if self._rng is None:
             self._rng = keyed_generator(*self.key)
+            if self.drawn:  # skip what a batch fill used
+                self._rng.standard_normal(self.drawn)
         return self._rng
 
     def insert(self, s: float) -> float:
@@ -81,24 +85,10 @@ class _LazyGaussianPath:
             mean = v0
             var = s - s0
         v = mean + math.sqrt(max(var, 0.0)) * float(self._gen().standard_normal())
+        self.drawn += 1
         self.pos.insert(j, s)
         self.val.insert(j, v)
         return v
-
-    def extend(self, positions) -> None:
-        """`insert_batch` of sorted positions past the last one: from six
-        on, where it costs less, each value is the previous one plus
-        sqrt(ds) times a normal, one cumsum."""
-        if len(positions) < 6:
-            return self.insert_batch(positions)
-        s = np.asarray(positions, dtype=float)
-        steps = np.empty(s.size + 1)
-        steps[0], steps[1:] = self.val[-1], s
-        steps[2:] -= s[:-1]
-        steps[1] -= self.pos[-1]
-        steps[1:] = np.sqrt(steps[1:]) * self._gen().standard_normal(s.size)
-        self.val += np.cumsum(steps)[1:].tolist()
-        self.pos += s.tolist()
 
     def insert_batch(self, positions) -> None:
         for s in sorted(positions):
@@ -119,6 +109,8 @@ class FieldRealization:
     """Lazily refined tree field plus per-atom bridges for one sample."""
 
     def __init__(self, sample: IcrtSample, seed: int):
+        if int(seed) < 0:
+            raise FieldError(f"field seed {seed} is negative")
         self.sample = sample
         self.seed = int(seed)
         self._branches: dict[int, _LazyGaussianPath] = {}
@@ -155,7 +147,16 @@ class FieldRealization:
                 if glue[c] > POINT_TOL:
                     need.setdefault(a, set()).add(glue[c] - float(sk.lo[a]))
                 c = a
-        for b in sorted(need):
+        # on the profile route, all fresh paths take their normals from one
+        # keyed_normals call and add them to their bases in branch order
+        order, steps = sorted(need), None
+        if len(ps) >= _PROFILE_BATCH:
+            new = {b: sorted(need[b] - {0.0}) for b in order if b not in self._branches}
+            ds = [y - x for s in new.values() for x, y in zip([0.0, *s], s)]
+            keys = [(self.seed, _TREE_TAG, b) for b in new]
+            z = keyed_normals(keys, map(len, new.values()))
+            steps = iter((np.sqrt(ds) * z).tolist())
+        for b in order:
             path = self._branches.get(b)
             if path is None:
                 base = 0.0
@@ -165,9 +166,12 @@ class FieldRealization:
                     base = self._branches[pb].value(g - float(sk.lo[pb]))
                 path = _LazyGaussianPath((self.seed, _TREE_TAG, b), base)
                 self._branches[b] = path
-                path.extend(sorted(s for s in need[b] if s > 0.0))
-            else:
-                path.insert_batch(need[b])
+                if steps is not None:  # the sequential adds of `insert`
+                    path.pos += new[b]
+                    path.val = list(accumulate(islice(steps, len(new[b])), initial=base))
+                    path.drawn = len(new[b])
+                    continue
+            path.insert_batch(need[b])
         return np.asarray(
             [self._branches[b].value(s) if keep else 0.0 for b, s, keep in queries]
         )
@@ -260,7 +264,8 @@ class FieldRealization:
         angles uu (sorted, inside (0, 1)), each inserted between the last
         one and 1, with all bridges at one insertion rank per step."""
         first, k = _runs(ii)
-        paths = [self._bridges[i] for i in ii[first].tolist()]
+        ids = ii[first].tolist()
+        paths = [self._bridges[i] for i in ids]
         # values stored rank by rank; in each rank the bridges keep fixed
         # slots, most angles first, so the bridges at rank r are a prefix of
         # those at rank r - 1
@@ -272,7 +277,7 @@ class FieldRealization:
         at = base[rank] + np.repeat(slot, k)
         s, z, v = np.empty(ii.size), np.empty(ii.size), np.empty(ii.size)
         s[at] = uu
-        z[at] = np.concatenate([p._gen().standard_normal(m) for p, m in zip(paths, k)])
+        z[at] = keyed_normals([(self.seed, _BRIDGE_TAG, i) for i in ids], k)
         a = b = np.zeros(k.size)  # the last position and value of each bridge
         for o, m in zip(base.tolist(), size.tolist()):
             sr, a, b = s[o : o + m], a[:m], b[:m]
@@ -284,6 +289,7 @@ class FieldRealization:
         ul, vl = uu.tolist(), vals.tolist()
         for path, f, m in zip(paths, first.tolist(), k.tolist()):
             path.pos[1:1], path.val[1:1] = ul[f : f + m], vl[f : f + m]
+            path.drawn = m
         return vals
 
     def fennec_value(self, alpha) -> float:

@@ -16,9 +16,9 @@ from icrt_lab import (
     sample_loop_point,
     uniform_tail,
 )
+from icrt_lab import fields
 from icrt_lab.fields import (
     _BRIDGE_TAG,
-    _TREE_TAG,
     FieldError,
     _LazyGaussianPath,
     atom_probe_points,
@@ -66,6 +66,10 @@ class TestTreeField:
         b = r2.tree_values(pts[::-1])[::-1]
         assert np.array_equal(a, b)
 
+    def test_negative_seed_rejected(self, hand_sample):
+        with pytest.raises(FieldError, match="-1"):
+            FieldRealization(hand_sample, -1)
+
     def test_out_of_range_query(self, hand_sample):
         with pytest.raises(ValueError):
             FieldRealization(hand_sample, 0).tree_value(9.0)
@@ -101,17 +105,25 @@ class TestBridges:
 
 
 class TestFreshFill:
-    def test_tree_extend_equals_insert_batch(self):
-        rng = np.random.default_rng(13)
-        for k, held in ((0, []), (1, []), (7, []), (50, []), (9, [0.05, 0.1])):
-            s = np.unique(0.1 + 3.0 * rng.random(k)).tolist()
-            a = _LazyGaussianPath((3, _TREE_TAG, 5), 0.25)
-            b = _LazyGaussianPath((3, _TREE_TAG, 5), 0.25)
-            a.insert_batch(held)  # a path that already holds values
-            a.extend(s)
-            b.insert_batch(held + s)
-            assert (a.pos, a.val) == (b.pos, b.val)
-            assert a.insert(1.5) == b.insert(1.5)
+    def test_tree_fill_equals_insert_batch(self, powerlaw_sample, monkeypatch):
+        s, rng = powerlaw_sample, np.random.default_rng(13)
+        big = (s.level * rng.random(300)).tolist()
+        for held in ([], (s.level * rng.random(5)).tolist()):
+            got = FieldRealization(s, 3)
+            got.tree_values(held)  # paths that already hold values
+            vals = got.tree_values(big)  # fresh paths filled in one pass
+            assert any(p._rng is None and p.drawn for p in got._branches.values())
+            with monkeypatch.context() as mp:  # every fresh path by insert_batch
+                mp.setattr(fields, "_PROFILE_BATCH", len(big) + 1)
+                ref = FieldRealization(s, 3)
+                ref.tree_values(held)
+                assert ref.tree_values(big).tolist() == vals.tolist()
+            assert got._branches.keys() == ref._branches.keys()
+            for b, path in got._branches.items():
+                r = ref._branches[b]
+                assert (path.pos, path.val, path.drawn) == (r.pos, r.val, r.drawn)
+                for x in (0.5 * path.pos[-1], path.pos[-1] + 0.3):
+                    assert path.insert(x) == r.insert(x)  # the same stream on
 
     def test_bridge_fill_equals_insert_batch(self, powerlaw_sample):
         rng = np.random.default_rng(12)
@@ -128,7 +140,7 @@ class TestFreshFill:
             ref.insert_batch(ang[idx == i].tolist())
             path = r._bridges[i]
             assert (path.pos, path.val) == (ref.pos, ref.val)
-            assert (path._rng is None) == (ref._rng is None)
+            assert path.drawn == ref.drawn  # 0 for a bridge with no draw
             assert got[idx == i].tolist() == [ref.value(u) for u in ang[idx == i]]
             assert path.insert(0.123) == ref.insert(0.123)  # the same stream on
 

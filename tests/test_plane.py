@@ -29,6 +29,7 @@ from icrt_lab.plane import (
     PlaneError,
     _check_loop_point,
     _directional_masses,
+    _ranges,
     _side_terms,
     compare_canonical,
     compare_many,
@@ -489,6 +490,31 @@ def _oracle_cases(powerlaw_sample):
 
 
 class TestBatchedOracles:
+    def test_segment_clamped_to_branch_block(self, powerlaw_sample, brownian_sample):
+        """Segments that start below their branch's first atom or end past
+        its last, against a filter of the sorted atom table."""
+        for s in (powerlaw_sample, brownian_sample):
+            pa, sk = PathAtoms.of(s), s.skeleton
+            xs, us, ix, first, last = pa.atoms
+            cases = []
+            for b in range(sk.n_branches):
+                lo, hi, a = float(sk.lo[b]), float(sk.hi[b]), first[b]
+                x0 = float(xs[a]) if a < last[b] else hi
+                for bottom in (-1.0, 0.0, lo - 0.5, lo, x0, 0.5 * (lo + hi)):
+                    cases += [(b, bottom, top) for top in (x0, hi, hi + 1.0, s.level)]
+            for b, bottom, top in cases:
+                inside = [
+                    j for j in range(first[b], last[b]) if bottom < xs[j] < top
+                ]
+                want = [(int(ix[j]), float(us[j]), float(xs[j])) for j in inside]
+                i = s.atom_index_at.get(top)
+                tail = [] if i is None else [(i, 0.25, top)]
+                assert pa.segment(b, bottom, top, 0.25) == want + tail
+                arrays = map(np.asarray, ([b], [bottom], [top]))
+                start, stop, t = _ranges(pa.atoms, *arrays)
+                assert list(range(start[0], stop[0])) == inside
+                assert t[0] == (0 if i is None else int(np.flatnonzero(xs == top)[0]))
+
     def test_precedes_equals_compare_canonical(self, powerlaw_sample):
         for s, pts, rng in _oracle_cases(powerlaw_sample):
             loc = locate(s, pts)
