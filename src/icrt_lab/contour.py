@@ -4,14 +4,14 @@ The contour is represented by a finite table of candidate loop points,
 each carrying its exact left fraction and ordered by it: the contour point
 at time t is the one with left fraction t.  The candidates are located
 once and their fractions computed in one batched pass (`left_fractions`,
-equal to the scalar `left_fraction` bit for bit).  One batched check of the
-adjacent pairs (`precedes`) confirms the order; from the first pair out of
-order on, `compare_canonical` settles exact and near ties of the fraction
-and checks that the contour order agrees with the fractions.  The crucial
-left-mass bound makes the table a Lipschitz certificate: adjacent
-candidates are at looptree distance at most the total mass times their
-fraction gap, and evaluation at any fraction lands within the reported
-resolution of the true equivalence class.
+equal to the scalar `left_fraction` bit for bit).  Rounds of the batched
+order check `precedes` on adjacent pairs settle exact and near ties of the
+fraction, each round swapping the pairs of one parity that are out of
+contour order, and check that the contour order agrees with the fractions.
+The crucial left-mass bound makes the table a Lipschitz certificate:
+adjacent candidates are at looptree distance at most the total mass times
+their fraction gap, and evaluation at any fraction lands within the
+reported resolution of the true equivalence class.
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ from .sampler import IcrtSample
 from .plane import (
     Located,
     LoopPoint,
-    Order,
-    compare_canonical,
     left_fractions,
     locate,
     lukasiewicz_value,
@@ -39,10 +37,6 @@ from .fields import FieldRealization
 
 class ContourError(ValueError):
     pass
-
-
-# relations under which the first point comes first in the contour order
-_FIRST = (Order.LEFT, Order.FRONT)
 
 
 @dataclass
@@ -99,27 +93,21 @@ def build_contour_table(
     loc = locate(sample, cands, level)
     fr = left_fractions(sample, level, loc)
     order = np.argsort(fr, kind="stable")
-    # one batched check of the adjacent pairs; the insertion pass starts at
-    # the first pair out of contour order, as nothing before it moves
-    first = precedes(sample, loc, order[1:], order[:-1])
-    start = 1 + int(np.argmax(np.r_[first, True]))  # len(order) if none
-    order, frs = order.tolist(), fr.tolist()
-    canon = []
-    if start < len(order):
-        canon = list(map(LoopPoint, loc.pos.tolist(), loc.ang.tolist()))
-    # compare moves a point left only at a tie of the fractions; a move
-    # across a larger gap means the two disagree
-    for i in range(start, len(order)):
-        j = i
-        while j > 0:
-            a, b = order[j], order[j - 1]
-            if compare_canonical(sample, canon[a], canon[b]) not in _FIRST:
-                break
-            if frs[a] - frs[b] > 1e-9:
-                raise ContourError("left fractions disagree with the contour order")
-            order[j - 1], order[j] = a, b
-            j -= 1
-    points = [LoopPoint(*cands[k]) for k in order]
+    # odd-even rounds on the adjacent pairs: inv[j] says the pair (j, j + 1)
+    # is out of contour order; a round swaps the inverted pairs of one
+    # parity, and only the pairs next to a swap are checked again
+    inv, parity = precedes(sample, loc, order[1:], order[:-1]), 0
+    while np.any(inv):
+        j = np.flatnonzero(inv[parity::2]) * 2 + parity
+        parity ^= 1
+        # the contour order moves a point left only at a tie of the
+        # fractions; a swap across a larger gap means the two disagree
+        if np.any(fr[order[j + 1]] - fr[order[j]] > 1e-9):
+            raise ContourError("left fractions disagree with the contour order")
+        order[j], order[j + 1], inv[j] = order[j + 1], order[j], False
+        k = np.union1d(j[j > 0] - 1, j[j < inv.size - 1] + 1)
+        inv[k] = precedes(sample, loc, order[k + 1], order[k])
+    points = [LoopPoint(*cands[k]) for k in order.tolist()]
     ts = fr[order]
     gaps = np.diff(ts)
     if gaps.size and float(np.min(gaps)) < -1e-9:

@@ -139,14 +139,16 @@ class FieldRealization:
         for b, s, keep in queries:
             if keep:
                 need.setdefault(b, set()).add(s)
-        # glue points on the root path of each branch (hi[b] lies on b)
-        parent, glue = sk._parent_list, sk._glue_list
-        for c in sk.branches_of(sk.hi[list(need)]).tolist():
-            while c > 0:
-                a = parent[c]
-                if glue[c] > POINT_TOL:
-                    need.setdefault(a, set()).add(glue[c] - float(sk.lo[a]))
-                c = a
+        # glue points on the root path of each branch (hi[b] lies on b), up
+        # to the first edge already climbed
+        climbed = set()
+        for hi in sk.hi[list(need)].tolist():
+            for a, glue, c in islice(sk.ascend(hi), 1, None):
+                if c in climbed:
+                    break
+                climbed.add(c)
+                if glue > POINT_TOL:
+                    need.setdefault(a, set()).add(glue - float(sk.lo[a]))
         # on the profile route, all fresh paths take their normals from one
         # keyed_normals call and add them to their bases in branch order
         order, steps = sorted(need), None
@@ -378,6 +380,8 @@ class GeneralizedField:
     def __init__(self, sample: IcrtSample, spec: FieldSpec, seed: int):
         if not spec.validated:
             raise FieldError("field spec must pass register_field_spec first")
+        if int(seed) < 0:
+            raise FieldError(f"field seed {seed} is negative")
         self.sample = sample
         self.spec = spec
         self.seed = int(seed)

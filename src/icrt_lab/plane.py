@@ -288,10 +288,7 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
     depth = sk.attach_depth[loc.br] + np.maximum(loc.pos - sk.lo[loc.br], 0.0)
     # one segment per point and chain level: its row, branch, exit and the
     # edge the path came up through (-1 on the point's own branch)
-    levels = [(np.arange(n), loc.br, loc.pos, np.full(n, -1))]
-    while np.any(up := levels[-1][1] > 0):
-        rows, c = levels[-1][0][up], levels[-1][1][up]
-        levels.append((rows, sk.parent[c], sk.glue_pos[c], c))
+    levels = list(sk.climb(loc.br, loc.pos))
     row, b, x, c = (np.concatenate(v) for v in zip(*levels))
     col = np.repeat(np.arange(len(levels)), [v[0].size for v in levels])
     if root_first:
@@ -402,12 +399,11 @@ class MassCache:
         ws = sample.measure.ws
         wl, ul = ws.tolist(), sample.angles.atom_angles.tolist()
         glue = sk.glue_pos.tolist()
-        self.parent = sk.parent[:nb].tolist()
 
         # atoms within the level; children in branch order, then sorted by
         # glue position
         kids = [[] for _ in range(nb)]
-        for c, p in enumerate(self.parent[1:], 1):
+        for c, p in enumerate(sk.parent[1:nb].tolist(), 1):
             kids[p].append(c)
         a_idx = []
         for b in range(nb):
@@ -455,8 +451,9 @@ class MassCache:
                 cum += accumulate(sums, initial=0.0)
 
         self.lo = sk.lo[:nb].tolist()
-        self._glue = glue[:nb]
-        self._angle = [0.0, *sample.angles.glue_angles[: nb - 1].tolist()]
+        # per edge c > 0: its parent, glue point and angle (`steps`)
+        tau = sample.angles.glue_angles[: nb - 1]
+        self._edges = sk.parent[1:nb], sk.glue_pos[1:nb], tau
         self._steps = {}
 
     # ------------------------------------------------------------------
@@ -473,13 +470,12 @@ class MassCache:
 
     def steps(self, side: str) -> list:
         """Per branch c > 0, the `step` of a walk that comes up through c onto
-        its parent at glue_pos[c]; row 0 is unused."""
+        its parent at glue_pos[c] with c's angle, all rows from one
+        `step_arrays` call; row 0 is unused."""
         rows = self._steps.get(side)
         if rows is None:
-            rows = [(0.0, 0.0, 0.0)] + [
-                self.step(p, self._glue[c], self._angle[c], side)
-                for c, p in enumerate(self.parent[1:], 1)
-            ]
+            terms = self.step_arrays(*self._edges, side).tolist()
+            rows = [(0.0, 0.0, 0.0), *zip(*terms)]
             self._steps[side] = rows
         return rows
 
@@ -550,23 +546,19 @@ def _directional_mass(sample: IcrtSample, l: float, alpha, side: str) -> float:
 def _directional_masses(sample: IcrtSample, l: float, points, side: str) -> np.ndarray:
     """`_directional_mass` of each point, bit for bit: the same terms added
     in the same order, with the walks above the points' own branches taken
-    together, one level of the step table at a time.  The points may come
-    as a `Located` of `locate` at level l."""
+    together (`Skeleton.climb`), one level of the step table at a time.  The
+    points may come as a `Located` of `locate` at level l."""
     loc = points if isinstance(points, Located) else locate(sample, points, l)
     total = np.zeros(loc.pos.size)
     mc = mass_cache(sample, l)
     for term in mc.step_arrays(loc.br, loc.pos, loc.ang, side):
         total += term
     steps = np.array(mc.steps(side)).T
-    parent = np.asarray(mc.parent)
-    idx = np.flatnonzero(loc.br > 0)
-    c = loc.br[idx]
-    while idx.size:
+    levels = sample.skeleton.climb(loc.br, loc.pos)
+    next(levels)  # the own branches, stepped above
+    for rows, _, _, c in levels:
         for term in steps:
-            total[idx] += term[c]
-        c = parent[c]
-        up = c > 0
-        idx, c = idx[up], c[up]
+            total[rows] += term[c]
     return total
 
 

@@ -7,7 +7,9 @@ line coordinate in ``[0, y_n]``; branch lookup is a binary search over the
 cut positions.
 
 Every root-path query goes through one walk: ``ascend`` lists the segments
-of a point's ancestral line, ``meet_walk`` climbs two lines to their meet.
+of a point's ancestral line, ``climb`` those of a batch of points one level
+at a time, ``meet_walk`` climbs two lines to their meet and ``meet_walks``
+arrays of pairs.
 """
 from __future__ import annotations
 
@@ -158,6 +160,17 @@ class Skeleton:
             if b <= stop:
                 return
             b, top, child = parent[b], glue[b], b
+
+    def climb(self, br, pos):
+        """`ascend` of located points (arrays of branches and positions), all
+        lines together: per level, (rows, branch, top, child) of the points
+        still climbing, from every point on its own branch (child -1)."""
+        rows, child = np.arange(br.size), np.full(br.size, -1)
+        yield rows, br, pos, child
+        while np.any(up := br > 0):
+            rows, child = rows[up], br[up]
+            br, pos = self.parent[child], self.glue_pos[child]
+            yield rows, br, pos, child
 
     def meet_walk(self, p: float, q: float):
         """Climb the root paths of p and q to their meet branch.

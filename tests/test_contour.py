@@ -35,10 +35,10 @@ from icrt_lab.contour import (
 from icrt_lab.loopmetric import project_loop
 from icrt_lab.plane import (
     _check_loop_point,
-    compare_canonical,
     left_fractions,
     lukasiewicz_value,
     path_atom_angles,
+    precedes,
 )
 from icrt_lab.skeleton import POINT_TOL
 from icrt_lab.util import keyed_generator
@@ -184,20 +184,46 @@ class TestTable:
     def test_disagreeing_fractions_rejected(self, hand_sample, monkeypatch):
         calls = []
 
-        def counting_compare(sample, a, b):
+        def counting_precedes(sample, loc, i, k):
             calls.append(1)
-            return compare_canonical(sample, a, b)
+            return precedes(sample, loc, i, k)
 
         def flipped(sample, l, points):
             return 1.0 - left_fractions(sample, l, points)
 
         n = len(build_contour_table(hand_sample))
         monkeypatch.setattr(icrt_lab.contour, "left_fractions", flipped)
-        monkeypatch.setattr(icrt_lab.contour, "compare_canonical", counting_compare)
+        monkeypatch.setattr(icrt_lab.contour, "precedes", counting_precedes)
         with pytest.raises(ContourError, match="disagree"):
             build_contour_table(hand_sample)
         # the first move across a real gap stops the pass
         assert len(calls) < 10 < n
+
+    def test_reversed_ties_sorted_in_rounds(self, hand_sample, monkeypatch):
+        # all fractions equal and the candidates in reverse contour order:
+        # the rounds alone sort them, one check per round at most
+        calls, locate_ = [], icrt_lab.contour.locate
+
+        def reversing_locate(sample, points, l=None):
+            # reordered in place: the build reads its points from this list
+            points[:] = _contour_sorted(sample, points)[::-1]
+            return locate_(sample, points, l)
+
+        def counting_precedes(sample, loc, i, k):
+            out = precedes(sample, loc, i, k)
+            calls.append(out.copy())  # the build updates its checks in place
+            return out
+
+        def constant(sample, l, points):
+            return np.full(len(points.pos), 0.5)
+
+        monkeypatch.setattr(icrt_lab.contour, "locate", reversing_locate)
+        monkeypatch.setattr(icrt_lab.contour, "left_fractions", constant)
+        monkeypatch.setattr(icrt_lab.contour, "precedes", counting_precedes)
+        tab = build_contour_table(hand_sample)
+        assert tab.points == _contour_sorted(hand_sample, tab.points)
+        assert np.all(calls[0])  # every adjacent pair started out of order
+        assert len(calls) <= len(tab) + 1
 
     def test_degenerate_measure_rejected(self, powerlaw_sample):
         with pytest.raises(ContourError):

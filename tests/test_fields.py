@@ -70,6 +70,10 @@ class TestTreeField:
         with pytest.raises(FieldError, match="-1"):
             FieldRealization(hand_sample, -1)
 
+    def test_generalized_negative_seed_rejected(self, hand_sample):
+        with pytest.raises(FieldError, match="-1"):
+            GeneralizedField(hand_sample, FieldSpec(validated=True), -1)
+
     def test_out_of_range_query(self, hand_sample):
         with pytest.raises(ValueError):
             FieldRealization(hand_sample, 0).tree_value(9.0)

@@ -296,6 +296,16 @@ class TestRootPathWalk:
             for p in walk_points(cuts, glues):
                 assert list(sk.ascend(p)) == ancestry_reference(cuts, glues, p)
 
+    def test_climb_matches_reference(self, skeleton_fixture):
+        for sk, cuts, glues in walk_cases(skeleton_fixture):
+            pts = np.asarray(walk_points(cuts, glues))
+            lines = [[] for _ in pts]
+            for rows, *level in sk.climb(sk.branches_of(pts), pts):
+                for r, step in zip(rows.tolist(), zip(*(v.tolist() for v in level))):
+                    lines[r].append(step)
+            for p, line in zip(pts.tolist(), lines):
+                assert line == ancestry_reference(cuts, glues, p)
+
     def test_meet_walk_matches_reference(self, skeleton_fixture):
         for sk, cuts, glues in walk_cases(skeleton_fixture):
             pts = walk_points(cuts, glues)
