@@ -26,7 +26,6 @@ from .plane import (
     Located,
     LoopPoint,
     Order,
-    PathAtoms,
     compare,
     left_fraction,
     left_mass,
@@ -155,17 +154,15 @@ class LoopCloud:
         ang = np.fromiter((p.angle for p in self.points), float, len(self.points))
         prof = profiles(sample, Located(pos, ang, sk.branches_of(pos)), root_first=True)
         self.depth, self._C, self._E = prof.depth, prof.br, prof.top
-        n = len(self.points)
+        n, (xs, _, ix, ws) = len(self.points), sample.atoms[:4]
         # composite sort key: chain level major, position minor
         self._key_base = 2.0 * sk.total_length + 1.0
-        xs, _, ix, _, _ = PathAtoms.of(sample).atoms
         key = np.where(prof.at > 0, prof.lev * self._key_base + xs[prof.at], np.inf)
         self._AK = np.c_[key, np.full(n, np.inf)]
         self._AA = np.c_[prof.ang, np.zeros(n)]
         self._AI = np.c_[ix[prof.at], np.zeros(n, np.int64)]
         # weighted torus distances of the angles to 0, cumulated (a pad adds 0)
-        w = np.append(sample.measure.ws, 0.0)[ix][prof.at]
-        w *= np.minimum(prof.ang, 1.0 - prof.ang)
+        w = ws[prof.at] * np.minimum(prof.ang, 1.0 - prof.ang)
         cum = np.cumsum(np.c_[np.zeros(n), w], axis=1)
         self._AC, self._atot = np.c_[cum, cum[:, -1]], cum[:, -1]
         self._attach = np.asarray(sk.attach_depth)

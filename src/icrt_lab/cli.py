@@ -215,10 +215,9 @@ def cmd_dims(args) -> int:
     grid = np.geomspace(10.0**d0, 10.0**d1, args.grid_points)
     report = analysis.theoretical_dims(spec, grid)
     if args.cloud:
-        level = args.level if args.level is not None else 8.0
-        sample = sample_icrt(spec, seed, StopRule(max_level=level))
+        sample = sample_icrt(spec, seed, _stop_from_args(args))
         rng = keyed_generator(seed, 8)
-        cloud = analysis.make_loop_cloud(sample, level, args.cloud, rng)
+        cloud = analysis.make_loop_cloud(sample, sample.level, args.cloud, rng)
         radii = analysis.farthest_first_radii(cloud, np.inf, max_net=2)
         diam = 2.0 * radii[0] if radii[0] > 0 else 1.0
         eps = np.geomspace(diam / 16, diam / 3, 8)

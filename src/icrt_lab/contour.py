@@ -235,53 +235,47 @@ def export_process_csv(
     return grid
 
 
-# the size of every SVG plot, in pixels
-_WIDTH, _HEIGHT = 640, 360
+# the size of every SVG plot and the padding of its plot area, in pixels
+_WIDTH, _HEIGHT, _PAD = 640, 360, 24.0
+
+
+def _svg_plot(xs, ys, label: str, marks) -> str:
+    """A white SVG frame with a label; the points (xs, ys) scaled into the
+    padded plot area, as pairs of pixel coordinates formatted to two
+    decimals, are drawn by `marks`."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    x0, x1 = float(np.min(xs)), float(np.max(xs))
+    y0, y1 = float(np.min(ys)), float(np.max(ys))
+    sx = (_WIDTH - 2 * _PAD) / ((x1 - x0) or 1.0)
+    sy = (_HEIGHT - 2 * _PAD) / ((y1 - y0) or 1.0)
+    pts = [
+        (f"{_PAD + (x - x0) * sx:.2f}", f"{_HEIGHT - _PAD - (y - y0) * sy:.2f}")
+        for x, y in zip(xs, ys)
+    ]
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">'
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>'
+        f"{marks(pts)}"
+        f'<text x="{_PAD}" y="16" font-size="12" font-family="monospace">{label}</text>'
+        "</svg>"
+    )
 
 
 def polyline_svg(xs, ys, label: str = "") -> str:
     """Static SVG polyline with a framed plot area."""
-    width, height = _WIDTH, _HEIGHT
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    pad = 24.0
-    x0, x1 = float(np.min(xs)), float(np.max(xs))
-    y0, y1 = float(np.min(ys)), float(np.max(ys))
-    sx = (width - 2 * pad) / ((x1 - x0) or 1.0)
-    sy = (height - 2 * pad) / ((y1 - y0) or 1.0)
-    pts = " ".join(
-        f"{pad + (x - x0) * sx:.2f},{height - pad - (y - y0) * sy:.2f}"
-        for x, y in zip(xs, ys)
-    )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
-        f'height="{height - 2 * pad}" fill="none" stroke="#999"/>'
-        f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
-        f'<text x="{pad}" y="16" font-size="12" font-family="monospace">{label}</text>'
-        "</svg>"
-    )
+
+    def marks(pts):
+        line = " ".join(f"{x},{y}" for x, y in pts)
+        return (
+            f'<rect x="{_PAD}" y="{_PAD}" width="{_WIDTH - 2 * _PAD}" '
+            f'height="{_HEIGHT - 2 * _PAD}" fill="none" stroke="#999"/>'
+            f'<polyline points="{line}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
+        )
+
+    return _svg_plot(xs, ys, label, marks)
 
 
 def scatter_svg(xs, ys, label: str = "") -> str:
-    width, height = _WIDTH, _HEIGHT
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    pad = 24.0
-    x0, x1 = float(np.min(xs)), float(np.max(xs))
-    y0, y1 = float(np.min(ys)), float(np.max(ys))
-    sx = (width - 2 * pad) / ((x1 - x0) or 1.0)
-    sy = (height - 2 * pad) / ((y1 - y0) or 1.0)
-    dots = "".join(
-        f'<circle cx="{pad + (x - x0) * sx:.2f}" '
-        f'cy="{height - pad - (y - y0) * sy:.2f}" r="1.5" fill="#a33"/>'
-        for x, y in zip(xs, ys)
-    )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f"{dots}"
-        f'<text x="{pad}" y="16" font-size="12" font-family="monospace">{label}</text>'
-        "</svg>"
-    )
+    return _svg_plot(xs, ys, label, lambda pts: "".join(
+        f'<circle cx="{x}" cy="{y}" r="1.5" fill="#a33"/>' for x, y in pts
+    ))

@@ -28,7 +28,6 @@ from .skeleton import POINT_TOL
 from .sampler import IcrtSample
 from .plane import (
     LoopPoint,
-    PathAtoms,
     _check_loop_point,
     locate,
     path_atom_angles,
@@ -227,10 +226,9 @@ class FieldRealization:
     def _fennec_values(self, loc, prof) -> np.ndarray:
         """`fennec_values` of located points from their `profiles`: the
         bridge terms added one column at a time, in walk order."""
-        ix = PathAtoms.of(self.sample).atoms[2]
-        sq = np.append(np.sqrt(self.sample.measure.ws), 0.0)[ix]  # a pad reads 0.0
-        tail = np.zeros(loc.pos.size)
-        for j, v in zip(prof.at.T, self._bridge_table(ix, prof.at, prof.ang).T):
+        atoms = self.sample.atoms
+        sq, tail = np.sqrt(atoms.ws), np.zeros(loc.pos.size)  # a pad reads 0.0
+        for j, v in zip(prof.at.T, self._bridge_table(atoms.ix, prof.at, prof.ang).T):
             tail += sq[j] * v  # not sum(), which compensates from Python 3.12 on
         return self._tree_part(loc.pos) + tail
 

@@ -41,8 +41,11 @@ def _path_sum(sample: IcrtSample, alpha, beta, tree, kernel) -> float:
     meet_atom = sample.atom_at(m)
     ws = sample.measure.ws
     out = tree(sample.measure.theta0_sq, d_t)
-    out += sum(ws[i] * kernel(u, 0.0) for i, u, _ in terms_a)
-    out += sum(ws[i] * kernel(u, 0.0) for i, u, _ in terms_b)
+    for terms in (terms_a, terms_b):
+        side = 0.0
+        for i, u, _ in terms:  # not sum(), which compensates from Python 3.12 on
+            side += ws[i] * kernel(u, 0.0)
+        out += side
     if meet_atom is not None:
         out += ws[meet_atom] * kernel(am, bm_angle)
     return out

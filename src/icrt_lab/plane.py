@@ -6,8 +6,8 @@ meet point), and computes the left/front/right mass functionals exactly by
 decomposing the root path, with per-level subtree aggregates cached on the
 sample.  Batches are located once (`locate`): `left_fractions` batches the
 mass walk and `compare_many` the order.  Root-path atom walks read the
-per-edge atom rows of `PathAtoms`; `profiles` climbs the root paths of a
-batch together and lists their atoms as padded arrays.
+sample's atom table and the per-edge rows of `PathAtoms`; `profiles`
+climbs a batch's root paths together, listing their atoms in padded arrays.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ def locate(sample: IcrtSample, points, l: float | None = None) -> Located:
     if not np.all(ok):
         _check_loop_point(sample, points[int(np.argmin(ok))], l)
     # snap: the atom within POINT_TOL, the one below first, as in `snap`
-    xs, out = sample._atoms_sorted[0], pos  # after a sentinel at -inf
+    xs, out = sample.atoms.xs, pos  # after a sentinel at -inf
     j = np.searchsorted(xs, pos, side="left")
     for k in (j, j - 1):
         x = xs[np.clip(k, 0, xs.size - 1)]
@@ -133,7 +133,7 @@ def compare_many(sample: IcrtSample, loc: Located, i, k) -> np.ndarray:
     ub, rank_y = np.where(cy < 0, ang[k], glued[cy]), np.where(cy < 0, -2, cy)
     # the side that reaches the meet branch higher up sees the continuation,
     # at the angle of an atom exactly at the meet point, else 1/2
-    m, (xs, us) = np.minimum(px, py), sample._atoms_sorted
+    m, (xs, us) = np.minimum(px, py), sample.atoms[:2]
     j = np.searchsorted(xs, m, side="right") - 1  # the last atom at m, as atom_at
     cont = np.where(xs[j] == m, us[j], 0.5)
     ub, rank_y = np.where(px < py, cont, ub), np.where(px < py, -1, rank_y)
@@ -181,30 +181,24 @@ def _side_terms(sample: IcrtSample, x: float, v: float, m: float, bm: int):
 
 
 class PathAtoms:
-    """A sample's atoms by position after a sentinel, with each branch's
-    block [first, last) of them (`atoms`); per edge c > 0 the `segment` a
-    root path adds on parent[c] coming up through c: `edges` as arrays
-    (`_ranges`, then the glue angle), `row(c)` as a list.  One table per
-    sample, built on first use (`of`)."""
+    """Per edge c > 0, the `segment` a root path adds on parent[c] coming up
+    through c: `edges` as arrays (`_ranges` of the sample's atom table, then
+    the glue angle), `row(c)` as a list; `segment` reads list copies of the
+    table.  One per sample, built on first use (`of`)."""
 
     def __init__(self, sample: IcrtSample):
         # no reference back to the sample, which keeps this table: the pair
         # is freed without waiting for the cycle collector
-        sk, blocks = sample.skeleton, sample.branch_atoms_idx
-        size = np.fromiter(map(len, blocks), np.int64, len(blocks))
-        last = 1 + np.cumsum(size)
-        (xs, us), ix = sample._atoms_sorted, np.r_[-1, np.concatenate(blocks)]
-        self.atoms = xs, us, ix, last - size, last
+        sk, at = sample.skeleton, sample.atoms
         p = np.maximum(sk.parent, 0)  # edge 0 is never read
         tau = np.r_[0.0, sample.angles.glue_angles]  # branch_angle
-        self.edges = (*_ranges(self.atoms, p, sk.lo[p], sk.glue_pos), tau)
+        self.edges = (*_ranges(at, p, sk.lo[p], sk.glue_pos), tau)
         # the scalar walks; they return at once on a sample without atoms
-        self.any = bool(sample.atom_index_at)
-        self._xs, self._first = xs.tolist(), (last - size).tolist()
-        self._last, self.lo = last.tolist(), sk.lo.tolist()
-        self._list = list(zip(ix.tolist(), us.tolist(), self._xs))
+        self.any, self._atom_at = bool(sample.atom_index_at), sample.atom_index_at.get
+        self._xs, self.lo = at.xl, sk.lo.tolist()
+        self._first, self._last = at.first.tolist(), at.last.tolist()
+        self._list = list(zip(at.ix.tolist(), at.us.tolist(), at.xl))
         self._rows = list(zip(*(v.tolist() for v in self.edges))) if self.any else []
-        self._atom_at = sample.atom_index_at.get
 
     def segment(self, b: int, lo: float, top: float, tau) -> list:
         """Atoms of branch b strictly inside (lo, top) with their own
@@ -248,10 +242,10 @@ def _inside(start, stop, first, last, hi, lo) -> tuple:
 
 
 def _ranges(atoms, b, lo, top) -> tuple:
-    """`PathAtoms.segment` of branches b on (lo, top), on arrays: the range
-    [start, stop) of the sorted atoms inside, and the sorted index of the
-    atom at top (0, the sentinel, for none)."""
-    xs, _, _, first, last = atoms
+    """`PathAtoms.segment` of branches b on (lo, top), on arrays: the rows
+    [start, stop) of the atom table inside, and the row of the atom at top
+    (0, the sentinel, for none)."""
+    xs, first, last = atoms.xs, atoms.first, atoms.last
     start = np.searchsorted(xs, lo, side="right")
     stop = np.searchsorted(xs, top, side="left")
     j = np.searchsorted(xs, top, side="right") - 1
@@ -264,10 +258,10 @@ class ProfileSet(NamedTuple):
     root depth; the chain (`br`, `top`; -1 and inf pad): the own branch and
     the point, then each parent branch and the glue point the path comes up
     through; the atoms on the path, each segment's by position with the
-    atom at its top last, as the chain level, the place in the sorted atoms
-    of `PathAtoms.atoms` and the angle toward the point (0, the sentinel 0
-    and 0.0 pad).  The atom index, -1 at a pad, is `ix[at]`, the position
-    `xs[at]`."""
+    atom at its top last, as the chain level, the row of the sample's atom
+    table (`atoms`) and the angle toward the point (0, the sentinel 0 and
+    0.0 pad).  The atom index, -1 at a pad, is `ix[at]`, the weight
+    (0.0 at a pad) `ws[at]`."""
 
     depth: np.ndarray
     br: np.ndarray
@@ -283,7 +277,7 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
     lists the atoms of `path_atom_angles`, which leaves an atom at a top
     within POINT_TOL of the root to the meet there.  root_first reverses
     the segments and keeps that atom, as `LoopCloud` reads them."""
-    sk, pa = sample.skeleton, PathAtoms.of(sample)
+    sk, pa, atoms = sample.skeleton, PathAtoms.of(sample), sample.atoms
     n = loc.pos.size
     depth = sk.attach_depth[loc.br] + np.maximum(loc.pos - sk.lo[loc.br], 0.0)
     # one segment per point and chain level: its row, branch, exit and the
@@ -295,10 +289,9 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
         col = np.bincount(row, minlength=n)[row] - 1 - col
     br, top = np.full((n, len(levels)), -1), np.full((n, len(levels)), np.inf)
     br[row, col], top[row, col] = b, x
-    # each segment's atoms: a range [start, stop) of the sorted atoms, then
-    # the atom at its top (0 for none) at angle tau
-    us = pa.atoms[1]
-    own = (*_ranges(pa.atoms, loc.br, sk.lo[loc.br], loc.pos), loc.ang)
+    # each segment's atoms: rows [start, stop) of the atom table, then the
+    # atom at its top (0 for none) at angle tau
+    own = (*_ranges(atoms, loc.br, sk.lo[loc.br], loc.pos), loc.ang)
     segs = zip(own, pa.edges)
     start, stop, t, tau = (np.concatenate((o, e[c[n:]])) for o, e in segs)
     if not root_first:
@@ -320,7 +313,7 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
     k = np.arange(r.size) - np.repeat(np.cumsum(m) - m, m)
     sel, src = np.concatenate((r, h)), np.concatenate((start[r] + k, t[h]))
     rr, cc = row[sel], off[sel] + np.concatenate((k, m[h]))
-    lev[rr, cc], at[rr, cc], ang[rr, cc] = col[sel], src, us[src]
+    lev[rr, cc], at[rr, cc], ang[rr, cc] = col[sel], src, atoms.us[src]
     ang[rr[r.size :], cc[r.size :]] = tau[h]
     return ProfileSet(depth, br, top, lev, at, ang)
 
@@ -328,8 +321,7 @@ def profiles(sample: IcrtSample, loc: Located, root_first: bool = False) -> Prof
 def lukasiewicz_values(sample: IcrtSample, prof: ProfileSet) -> np.ndarray:
     """`lukasiewicz_value` of each profiled point, bit for bit: the atom
     terms added one column at a time, in walk order (a pad adds 0.0)."""
-    ws = np.append(sample.measure.ws, 0.0)[PathAtoms.of(sample).atoms[2]]
-    tail = np.zeros(prof.depth.size)
+    tail, ws = np.zeros(prof.depth.size), sample.atoms.ws
     for j, u in zip(prof.at.T, prof.ang.T):
         tail += ws[j] * (1.0 - u)
     return 0.5 * sample.measure.theta0_sq * prof.depth + tail
@@ -392,32 +384,28 @@ class MassCache:
     """
 
     def __init__(self, sample: IcrtSample, l: float):
-        sk = sample.skeleton
+        sk, at = sample.skeleton, sample.atoms
         nb = sk.branch_of(l) + 1
         self.t0 = t0 = sample.measure.theta0_sq
         self.clip_hi = np.minimum(sk.hi[:nb], l)
-        ws = sample.measure.ws
-        wl, ul = ws.tolist(), sample.angles.atom_angles.tolist()
-        glue = sk.glue_pos.tolist()
+        xl, wl, ul, glue = at.xl, at.ws.tolist(), at.us.tolist(), sk.glue_pos.tolist()
 
-        # atoms within the level; children in branch order, then sorted by
-        # glue position
-        kids = [[] for _ in range(nb)]
-        for c, p in enumerate(sk.parent[1:nb].tolist(), 1):
-            kids[p].append(c)
-        a_idx = []
-        for b in range(nb):
-            k = bisect_right(sample.branch_atoms_pos[b], l)
-            a_idx.append(sample.branch_atoms_idx[b][:k])
-            kids[b].sort(key=glue.__getitem__)
+        # each branch's atoms within the level, as rows [first, stop) of the
+        # atom table, and its children by glue position, ties in branch order
+        first = at.first[:nb]
+        stop = np.clip(np.searchsorted(at.xs, l, side="right"), first, at.last[:nb])
+        rows = list(zip(first.tolist(), stop.tolist()))
+        kids, parent = [[] for _ in range(nb)], sk.parent.tolist()
+        for c in sorted(range(1, nb), key=glue.__getitem__):
+            kids[parent[c]].append(c)
 
         # subtree masses, leaves first
         self.mass_sub = np.zeros(nb)
         for b in range(nb - 1, -1, -1):
-            leb = t0 * (self.clip_hi[b] - sk.lo[b])
-            at = float(np.sum(ws[a_idx[b]])) if a_idx[b].size else 0.0
+            (i, j), leb = rows[b], t0 * (self.clip_hi[b] - sk.lo[b])
+            atom = float(np.sum(at.ws[i:j])) if j > i else 0.0
             kid = float(np.sum(self.mass_sub[kids[b]])) if kids[b] else 0.0
-            self.mass_sub[b] = leb + at + kid
+            self.mass_sub[b] = leb + atom + kid
         sub = self.mass_sub.tolist()
 
         # per branch: the events by position, and prefix sums over them of
@@ -425,10 +413,9 @@ class MassCache:
         self.pos, self.events, self.atom_cum, self.kid_cum = [], [], [], []
         self.cum = {"left": [], "right": []}
         self.last = []  # where each branch's prefix sums end
-        for b in range(nb):
-            apos = sample.branch_atoms_pos[b][: a_idx[b].size].tolist()
-            at_x = {x: (wl[i], ul[i], []) for x, i in zip(apos, a_idx[b].tolist())}
-            for c in kids[b]:
+        for (i, j), ks in zip(rows, kids):
+            at_x = {xl[k]: (wl[k], ul[k], []) for k in range(i, j)}
+            for c in ks:
                 at_x.setdefault(glue[c], (0.0, 0.5, []))[2].append(c)
             pos = sorted(at_x)
             events, acum, kcum = [], [0.0], [0.0]

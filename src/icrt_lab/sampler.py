@@ -20,6 +20,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,10 +57,6 @@ class ThetaSpec:
             raise SamplerError(f"theta0^2 + sum(theta_i^2) = {total}, expected 1")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.weights)
-
     @classmethod
     def brownian(cls) -> "ThetaSpec":
         return cls(1.0, ())
@@ -91,7 +88,7 @@ class MeasureState:
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
         self.ws = np.asarray(self.ws, dtype=float)
-        order = np.argsort(self.xs, kind="stable")
+        self.order = order = np.argsort(self.xs, kind="stable")
         self.xs_sorted = self.xs[order]
         self.ws_sorted = self.ws[order]
         self.cum_sorted = np.concatenate([[0.0], np.cumsum(self.ws_sorted)])
@@ -320,8 +317,23 @@ def sample_angles(
     return AngleTable(rng.random(measure.xs.size), rng.random(len(glues)))
 
 
+class AtomTable(NamedTuple):
+    """The atoms within a sample's level by position (ties by index) after
+    a sentinel row (-inf, angle 1/2, index -1, weight 0.0); each branch's
+    block [first, last) of rows; `xl` lists xs.  The arrays are read-only."""
+
+    xs: np.ndarray
+    us: np.ndarray
+    ix: np.ndarray
+    ws: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    xl: list
+
+
 class IcrtSample:
-    """A realized plane ICRT truncation with its lookup tables."""
+    """A realized plane ICRT truncation; `atoms` and `atom_index_at` index
+    its atoms."""
 
     def __init__(self, spec, measure, skel, angles, level, seed=None):
         self.spec = spec
@@ -346,37 +358,27 @@ class IcrtSample:
             raise SamplerError("one angle per glued branch required")
 
     def _build_index(self):
-        sk = self.skeleton
-        xs = self.measure.xs
-        idx = np.nonzero(xs <= self.level + POINT_TOL)[0]
-        pos = xs[idx]
-        self.atom_index_at: dict[float, int] = dict(zip(pos.tolist(), idx.tolist()))
-        self._atom_list = sorted(self.atom_index_at)  # for bisect in snap
-        # per branch, its atoms by position: read-only views of one sorted
-        # pair of arrays; branches without atoms share one empty pair
-        br = sk.branches_of(pos)
-        order = np.lexsort((idx, pos, br))
-        br, pos, idx = br[order], pos[order], idx[order]
-        pos.flags.writeable = idx.flags.writeable = False
-        # atom positions and angles by position after a sentinel, for the
-        # batched lookups of plane.locate and plane.precedes
-        angs = self.angles.atom_angles[idx]
-        self._atoms_sorted = np.r_[-np.inf, pos], np.r_[0.5, angs]
-        self.branch_atoms_pos: list[np.ndarray] = [pos[:0]] * sk.n_branches
-        self.branch_atoms_idx: list[np.ndarray] = [idx[:0]] * sk.n_branches
-        bs, starts = np.unique(br, return_index=True)
-        starts = starts.tolist()
-        for b, s, e in zip(bs.tolist(), starts, [*starts[1:], br.size]):
-            self.branch_atoms_pos[b] = pos[s:e]
-            self.branch_atoms_idx[b] = idx[s:e]
+        m, sk = self.measure, self.skeleton
+        idx = np.nonzero(m.xs <= self.level + POINT_TOL)[0]
+        self.atom_index_at = dict(zip(m.xs[idx].tolist(), idx.tolist()))
+        # the atoms within the level are a prefix of the measure's position
+        # order, and each branch's atoms one block of that prefix
+        n, ix = idx.size, m.order[: idx.size]
+        br = sk.branches_of(m.xs_sorted[:n])
+        ends = 1 + np.searchsorted(br, np.arange(sk.n_branches + 1))
+        xs, ws = np.r_[-np.inf, m.xs_sorted[:n]], np.r_[0.0, m.ws_sorted[:n]]
+        us, ix = np.r_[0.5, self.angles.atom_angles[ix]], np.r_[-1, ix]
+        for v in (xs, us, ix, ws, ends):
+            v.flags.writeable = False
+        self.atoms = AtomTable(xs, us, ix, ws, ends[:-1], ends[1:], xs.tolist())
 
     # ------------------------------------------------------------------
     def snap(self, pos: float) -> float:
         """The coordinate of the atom within POINT_TOL of pos, else pos."""
-        xs = self._atom_list
-        j = bisect_left(xs, pos)
+        xs = self.atoms.xl
+        j = bisect_left(xs, pos)  # at least 1, past the sentinel
         for k in (j - 1, j):
-            if 0 <= k < len(xs) and abs(xs[k] - pos) <= POINT_TOL:
+            if k < len(xs) and abs(xs[k] - pos) <= POINT_TOL:
                 return xs[k]
         return pos
 

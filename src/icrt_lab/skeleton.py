@@ -230,7 +230,9 @@ class Skeleton:
         bm, pp, _, qq, _ = self.meet_walk(p, q)
         m = min(pp, qq)
         segs = self._side_segments(p, m, bm) + self._side_segments(q, m, bm)
-        total = sum(s.length for s in segs)
+        total = 0.0
+        for s in segs:  # not sum(), which compensates from Python 3.12 on
+            total += s.length
         return PathSummary(segments=segs, meet=m, length=total, endpoints=(p, q))
 
     def branch_count_distance(self, p: float, q: float) -> int:

@@ -293,6 +293,19 @@ class TestDims:
         assert "boxcount" in rep
         assert abs(rep["boxcount"]["estimate"] - 1.0) <= 0.3
 
+    def test_branches_set_the_cloud_sample(self, tmp_path):
+        """--branches stops the cloud's sample: a rerun writes the same
+        bytes, and 400 branches give other box counts than 40."""
+        args = ["dims", "--alpha", "1.5", "--K", "200", "--cloud", "500", "--seed", "0"]
+        out = {}
+        for name, n in (("a", 40), ("b", 40), ("c", 400)):
+            code, path = run(args + ["--branches", str(n)], tmp_path, f"{name}.json")
+            assert code == 0
+            out[name] = path.read_bytes()
+        assert out["a"] == out["b"]
+        box = {k: json.loads(v)["report"]["boxcount"] for k, v in out.items()}
+        assert box["a"] != box["c"]
+
     def test_negative_cloud_rejected(self, tmp_path, capsys):
         code, out = run(["dims", "--theta0", "1", "--cloud", "-1"], tmp_path, "d.json")
         assert code == 1

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from icrt_lab import loopmetric, skeleton
 from icrt_lab import (
     LoopPoint,
     StopRule,
@@ -70,6 +73,26 @@ class TestLoopDistance:
             assert dab >= 0
             assert dab == loop_distance(s, b, a)
             assert loop_distance(s, a, c) <= dab + loop_distance(s, b, c) + 1e-9
+
+    def test_same_bits_under_compensated_sum(self, powerlaw_sample, monkeypatch):
+        """The distances and path lengths add their terms one at a time, so
+        a compensated builtin sum() (Python 3.12 on; math.fsum here) leaves
+        every value unchanged."""
+        s = powerlaw_sample
+        rng = np.random.default_rng(7)
+        pts = [sample_loop_point(s, s.level, rng) for _ in range(30)]
+
+        def values():
+            return [
+                (loop_distance(s, a, b), gff_distance(s, a, b),
+                 s.skeleton.path(a.pos, b.pos).length)
+                for a in pts for b in pts
+            ]
+
+        want = values()
+        monkeypatch.setattr(loopmetric, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(skeleton, "sum", math.fsum, raising=False)
+        assert values() == want
 
 
 class TestFieldMetric:

@@ -429,14 +429,11 @@ class TestSorting:
 # ---------------------------------------------------------------------------
 def _segment_atoms_reference(sample, b, lo, top, tau):
     """The per-segment atom walk the atom rows replace."""
-    out = []
-    pos = sample.branch_atoms_pos[b]
-    if pos.size:
-        i0 = pos.searchsorted(lo, side="right")
-        i1 = pos.searchsorted(top, side="left")
-        idx = sample.branch_atoms_idx[b][i0:i1]
-        angs = sample.angles.atom_angles[idx]
-        out = list(zip(idx.tolist(), angs.tolist(), pos[i0:i1].tolist()))
+    at, out = sample.atoms, []
+    for j in range(at.first[b], at.last[b]):
+        i, x = int(at.ix[j]), float(at.xs[j])
+        if lo < x < top:
+            out.append((i, float(sample.angles.atom_angles[i]), x))
     if tau is not None:
         i = sample.atom_at(top)
         if i is not None:
@@ -495,7 +492,7 @@ class TestBatchedOracles:
         its last, against a filter of the sorted atom table."""
         for s in (powerlaw_sample, brownian_sample):
             pa, sk = PathAtoms.of(s), s.skeleton
-            xs, us, ix, first, last = pa.atoms
+            xs, us, ix, _, first, last, _ = s.atoms
             cases = []
             for b in range(sk.n_branches):
                 lo, hi, a = float(sk.lo[b]), float(sk.hi[b]), first[b]
@@ -511,7 +508,7 @@ class TestBatchedOracles:
                 tail = [] if i is None else [(i, 0.25, top)]
                 assert pa.segment(b, bottom, top, 0.25) == want + tail
                 arrays = map(np.asarray, ([b], [bottom], [top]))
-                start, stop, t = _ranges(pa.atoms, *arrays)
+                start, stop, t = _ranges(s.atoms, *arrays)
                 assert list(range(start[0], stop[0])) == inside
                 assert t[0] == (0 if i is None else int(np.flatnonzero(xs == top)[0]))
 
@@ -567,7 +564,7 @@ class TestBatchedOracles:
             loc = locate(s, pts)
             prof = profiles(s, loc)
             luk = lukasiewicz_values(s, prof)
-            ix = PathAtoms.of(s).atoms[2]
+            ix = s.atoms.ix
             for k, a in enumerate(map(LoopPoint, loc.pos.tolist(), loc.ang.tolist())):
                 want = path_atom_angles(s, a)
                 m = len(want)

@@ -297,17 +297,26 @@ class TestPipeline:
         spec = ThetaSpec.power_law(1.5, 60, theta0=0.4)
         for seed in range(3):
             s = sample_icrt(spec, seed, StopRule(max_level=6.0))
-            sk = s.skeleton
+            sk, at = s.skeleton, s.atoms
             want = [[] for _ in range(sk.n_branches)]
             for i, x in enumerate(s.measure.xs.tolist()):
                 if x <= s.level:
                     want[sk.branch_of(x)].append((x, i))
             assert s.atom_index_at == {x: i for b in want for x, i in b}
+            # the sentinel row, then the branches' blocks end to end
+            assert (at.xs[0], at.us[0], at.ix[0], at.ws[0]) == (-np.inf, 0.5, -1, 0.0)
+            assert at.first[0] == 1 and at.last[-1] == at.xs.size
+            assert at.first[1:].tolist() == at.last[:-1].tolist()
             for b in range(sk.n_branches):
-                assert s.branch_atoms_pos[b].tolist() == [x for x, _ in sorted(want[b])]
-                assert s.branch_atoms_idx[b].tolist() == [i for _, i in sorted(want[b])]
-                assert not s.branch_atoms_pos[b].flags.writeable
-                assert not s.branch_atoms_idx[b].flags.writeable
+                rows = slice(at.first[b], at.last[b])
+                assert at.xs[rows].tolist() == [x for x, _ in sorted(want[b])]
+                assert at.ix[rows].tolist() == [i for _, i in sorted(want[b])]
+            ix = at.ix[1:]
+            assert at.us[1:].tolist() == s.angles.atom_angles[ix].tolist()
+            assert at.ws.tolist() == [0.0, *s.measure.ws[ix].tolist()]
+            assert at.xl == at.xs.tolist()
+            for col in (at.xs, at.us, at.ix, at.ws, at.first, at.last):
+                assert not col.flags.writeable
 
     def test_json_round_trip(self):
         spec = ThetaSpec.power_law(1.5, 15, theta0=0.5)
