@@ -137,21 +137,20 @@ def theoretical_dims(spec, l_grid) -> DimensionReport:
 # loop-point clouds and covering estimates
 # ---------------------------------------------------------------------------
 class LoopCloud:
-    """Point cloud with a path-profile representation: pairwise looptree
-    distances reduce to a common-prefix scan, vectorized over the cloud with
-    padded chain and atom-key matrices.  `dist_to_all` is the cloud's only
-    distance path; `loop_distance` is the scalar walk it is tested against."""
+    """Point cloud (`points`, (n, 2)) with a path-profile representation:
+    pairwise looptree distances reduce to a common-prefix scan, vectorized
+    over the cloud with padded chain and atom-key matrices.  `dist_to_all` is
+    the cloud's only distance path; `loop_distance` is its scalar oracle."""
 
     def __init__(self, sample: IcrtSample, l: float, points):
         self.sample = sample
         self.level = float(l)
-        self.points = [LoopPoint(float(p[0]), float(p[1])) for p in points]
+        self.points = np.array(points, dtype=float)  # (n, 2), copied
         sk = sample.skeleton
         self.theta0_sq = sample.measure.theta0_sq
         # the points as given, unsnapped; root-first profiles keep the atom
         # at a segment top next to the root, where a meet reads it
-        pos = np.fromiter((p.pos for p in self.points), float, len(self.points))
-        ang = np.fromiter((p.angle for p in self.points), float, len(self.points))
+        pos, ang = self.points.T
         prof = profiles(sample, Located(pos, ang, sk.branches_of(pos)), root_first=True)
         self.depth, self._C, self._E = prof.depth, prof.br, prof.top
         n, (xs, _, ix, ws) = len(self.points), sample.atoms[:4]
@@ -269,7 +268,7 @@ def local_mass_exponents(
     is estimated from the reference cloud."""
     eps = np.sort(np.asarray(eps_grid, dtype=float))
     total = sample.mass_prefix(l)
-    ref = LoopCloud(sample, l, cloud.points + centers.points)
+    ref = LoopCloud(sample, l, np.vstack([cloud.points, centers.points]))
     n_ref = len(cloud)
     exponents, flagged = [], 0
     for c in range(len(centers)):

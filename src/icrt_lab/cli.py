@@ -25,7 +25,7 @@ from .sampler import (
     sample_icrt,
 )
 from .skeleton import SkeletonError
-from .plane import PlaneError, sample_loop_point
+from .plane import PlaneError, sample_loop_points
 from .loopmetric import loop_distance, gff_distance, path_mass
 from .fields import FieldRealization
 from .contour import (
@@ -222,6 +222,8 @@ def cmd_dims(args) -> int:
         diam = 2.0 * radii[0] if radii[0] > 0 else 1.0
         eps = np.geomspace(diam / 16, diam / 3, 8)
         report.boxcount = analysis.boxcount_dimension(cloud, eps)
+        # the sample the cloud measured: with --branches, its last cut
+        report.boxcount.update(level=sample.level, branches=sample.skeleton.n_branches)
     payload = {
         "config": _config_echo(args),
         "version": __version__,
@@ -250,10 +252,8 @@ def _suite_metric(seed: int, n: int) -> list:
         worst = 0.0
         sandwich = True
         bound = True
-        for _ in range(n):
-            a = sample_loop_point(sample, sample.level, rng)
-            b = sample_loop_point(sample, sample.level, rng)
-            c = sample_loop_point(sample, sample.level, rng)
+        draws = sample_loop_points(sample, sample.level, rng, 3 * n)
+        for a, b, c in draws.reshape(n, 3, 2):
             dab, dbc, dac = (
                 loop_distance(sample, a, b),
                 loop_distance(sample, b, c),
@@ -281,10 +281,8 @@ def _suite_order(seed: int, n: int) -> list:
     for name, sample in _fixture_samples(seed).items():
         rng = keyed_generator(seed, 62)
         bad = 0
-        for _ in range(n):
-            a = sample_loop_point(sample, sample.level, rng)
-            b = sample_loop_point(sample, sample.level, rng)
-            c = sample_loop_point(sample, sample.level, rng)
+        draws = sample_loop_points(sample, sample.level, rng, 3 * n)
+        for a, b, c in draws.reshape(n, 3, 2):
             oab, oba = compare(sample, a, b), compare(sample, b, a)
             pairs = {
                 Order.LEFT: Order.RIGHT,
@@ -302,8 +300,7 @@ def _suite_order(seed: int, n: int) -> list:
             ):
                 bad += 1
         mass_ok = True
-        for _ in range(50):
-            a = sample_loop_point(sample, sample.level, rng)
+        for a in sample_loop_points(sample, sample.level, rng, 50):
             lm = left_mass(sample, sample.level, a)
             rm = right_mass(sample, sample.level, a)
             fm = front_mass(sample, sample.level, a)
@@ -325,8 +322,7 @@ def _suite_field(seed: int, n: int) -> list:
 
     sample = sample_icrt(ThetaSpec.brownian(), seed, StopRule(max_level=4.0))
     rng = keyed_generator(seed, 63)
-    a = sample_loop_point(sample, sample.level, rng)
-    b = sample_loop_point(sample, sample.level, rng)
+    a, b = sample_loop_points(sample, sample.level, rng, 2)
     target = gff_distance(sample, a, b)
     diffs = np.empty(n)
     for k in range(n):

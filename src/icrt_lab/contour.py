@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class ContourError(ValueError):
 class ContourTable:
     sample: IcrtSample
     level: float
-    points: list
     ts: np.ndarray
     mass_total: float
     eps: float  # round-trip resolution: mass * largest fraction gap
@@ -51,7 +51,14 @@ class ContourTable:
     loc: Located  # the points checked and located, in table order
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.ts.size
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The located points as a read-only (n, 2) array."""
+        pts = np.column_stack(self.loc[:2])
+        pts.flags.writeable = False
+        return pts
 
 
 def build_contour_table(
@@ -74,22 +81,24 @@ def build_contour_table(
     if resolution < 2:
         raise ContourError("resolution must be at least 2")
 
-    cands = {(0.0, 0.0), (0.0, 1.0)}
-    for b in range(top + 1):
-        tip = min(float(sk.hi[b]), level)
-        cands.add((tip, 0.0))
-        if b > 0:
-            cands.add((float(sk.glue_pos[b]), sample.branch_angle(b)))
-    for x, i in sample.atom_index_at.items():
-        if x <= level and sample.measure.ws[i] >= 0.01:
-            for k in range(64):
-                cands.add((float(x), k / 64))
+    xs, ws = sample.atoms.xs[1:], sample.atoms.ws[1:]
+    heavy = xs[(xs <= level) & (ws >= 0.01)]
+    cands = [
+        [(0.0, 0.0), (0.0, 1.0)],
+        np.c_[np.minimum(sk.hi[: top + 1], level), np.zeros(top + 1)],
+        np.c_[sk.glue_pos[1 : top + 1], sample.angles.glue_angles[:top]],
+        np.c_[np.repeat(heavy, 64), np.tile(np.arange(64) / 64, heavy.size)],
+    ]
     if rng is not None:
-        cands.update(sample_loop_points(sample, level, rng, resolution))
+        cands.append(sample_loop_points(sample, level, rng, resolution))
+    # exact duplicates dropped: rows sorted by position, then angle, and
+    # each compared with the one before
+    cands = np.concatenate(cands)
+    cands = cands[np.lexsort(cands.T[::-1])]
+    cands = cands[np.r_[True, np.any(cands[1:] != cands[:-1], axis=1)]]
 
     # the candidates located once: fractions and order are computed on the
-    # snapped arrays, the table keeps the candidates
-    cands = list(cands)
+    # snapped arrays
     loc = locate(sample, cands, level)
     fr = left_fractions(sample, level, loc)
     order = np.argsort(fr, kind="stable")
@@ -107,22 +116,22 @@ def build_contour_table(
         order[j], order[j + 1], inv[j] = order[j + 1], order[j], False
         k = np.union1d(j[j > 0] - 1, j[j < inv.size - 1] + 1)
         inv[k] = precedes(sample, loc, order[k + 1], order[k])
-    points = [LoopPoint(*cands[k]) for k in order.tolist()]
     ts = fr[order]
     gaps = np.diff(ts)
     if gaps.size and float(np.min(gaps)) < -1e-9:
         raise ContourError("left fractions disagree with the contour order")
     eps = mass * float(np.max(gaps)) if gaps.size else mass
     loc = Located(*(v[order] for v in loc))
-    return ContourTable(sample, level, points, ts, mass, eps, resolution, loc)
+    return ContourTable(sample, level, ts, mass, eps, resolution, loc)
 
 
 def contour_eval(table: ContourTable, t: float) -> LoopPoint:
-    """Bracketing candidate; equal-fraction ties yield their earliest
-    representative, so the walk starts at the root corner."""
+    """Bracketing located candidate; equal-fraction ties yield their
+    earliest representative, so the walk starts at the root corner."""
     if not (0.0 <= t <= 1.0):
         raise ContourError(f"contour time {t} outside [0, 1]")
-    return table.points[int(_eval_indices(table, [t])[0])]
+    k, (pos, ang) = int(_eval_indices(table, [t])[0]), table.loc[:2]
+    return LoopPoint(float(pos[k]), float(ang[k]))
 
 
 def _eval_indices(table: ContourTable, times) -> np.ndarray:

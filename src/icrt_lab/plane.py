@@ -4,10 +4,11 @@ Loop points are pairs (tree position, angle).  This module answers angle
 queries, the total contour order (left-of / in-front-of comparison at the
 meet point), and computes the left/front/right mass functionals exactly by
 decomposing the root path, with per-level subtree aggregates cached on the
-sample.  Batches are located once (`locate`): `left_fractions` batches the
-mass walk and `compare_many` the order.  Root-path atom walks read the
-sample's atom table and the per-edge rows of `PathAtoms`; `profiles`
-climbs a batch's root paths together, listing their atoms in padded arrays.
+sample.  A batch of loop points is an (n, 2) array (positions, angles),
+located once (`locate`): `left_fractions` batches the mass walk and
+`compare_many` the order.  Root-path atom walks read the sample's atom
+table and the per-edge rows of `PathAtoms`; `profiles` climbs a batch's
+root paths together, listing their atoms in padded arrays.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .skeleton import POINT_TOL
-from .sampler import IcrtSample, SamplerError
+from .sampler import IcrtSample
 
 
 class LoopPoint(NamedTuple):
@@ -61,15 +62,17 @@ class Located(NamedTuple):
 
 
 def locate(sample: IcrtSample, points, l: float | None = None) -> Located:
-    """`_check_loop_point` for a list of points, with one branch lookup;
-    a bad point raises the scalar message."""
-    n = len(points)
-    pos = np.fromiter((p[0] for p in points), float, n)
-    ang = np.fromiter((p[1] for p in points), float, n)
+    """`_check_loop_point` for a batch of points, an (n, 2) array or a list
+    of pairs, with one branch lookup; a bad point raises the scalar message.
+    The result holds copies, not views of the batch."""
+    pts = np.array(points, dtype=float)
+    if pts.shape[1:] != (2,) and pts.shape != (0,):
+        raise PlaneError(f"loop points must be an (n, 2) batch, got shape {pts.shape}")
+    pos, ang = pts.reshape(-1, 2).T
     limit = sample.level if l is None else l
     ok = (-POINT_TOL <= pos) & (pos <= limit + POINT_TOL) & (0.0 <= ang) & (ang <= 1.0)
     if not np.all(ok):
-        _check_loop_point(sample, points[int(np.argmin(ok))], l)
+        _check_loop_point(sample, pts[int(np.argmin(ok))], l)
     # snap: the atom within POINT_TOL, the one below first, as in `snap`
     xs, out = sample.atoms.xs, pos  # after a sentinel at -inf
     j = np.searchsorted(xs, pos, side="left")
@@ -592,22 +595,13 @@ def sample_loop_point(sample: IcrtSample, l: float, rng) -> LoopPoint:
     return LoopPoint(sample.measure.draw_position(l, rng), rng.random())
 
 
-def sample_loop_points(sample: IcrtSample, l: float, rng, n: int) -> list:
-    """n `sample_loop_point` draws, bit for bit and leaving rng in the same
-    state: one (n, 2) block of uniforms, position first and angle second,
-    with `MeasureState._invert` on arrays."""
-    m, u = sample.measure, rng.random((n, 2))
-    tot = m.mass_prefix(l)
-    if n and tot <= 0:
-        raise SamplerError("cannot draw from a zero measure")
-    r, leb = u[:, 0] * tot, m.theta0_sq * l
-    pos = np.divide(r, m.theta0_sq, out=np.zeros(n), where=r < leb)
-    atom = r >= leb
-    if np.any(atom):  # the atoms in position order
-        i = bisect_right(m._xs, l)
-        j = np.searchsorted(m.cum_sorted[1 : i + 1], r[atom] - leb, side="right")
-        pos[atom] = m.xs_sorted[np.minimum(j, i - 1)]
-    return list(map(LoopPoint, pos.tolist(), u[:, 1].tolist()))
+def sample_loop_points(sample: IcrtSample, l: float, rng, n: int) -> np.ndarray:
+    """n `sample_loop_point` draws as an (n, 2) array, bit for bit and
+    leaving rng in the same state: one block of uniforms, position first
+    and angle second, the positions inverted in place."""
+    u = rng.random((n, 2))
+    u[:, 0] = sample.measure._invert(l, u[:, 0])
+    return u
 
 
 def monte_carlo_left_mass(
@@ -618,7 +612,7 @@ def monte_carlo_left_mass(
     Returns (estimate, standard error), both in mass units.
     """
     tot = sample.mass_prefix(l)
-    loc = locate(sample, [*sample_loop_points(sample, l, rng, n), alpha])
+    loc = locate(sample, np.vstack([sample_loop_points(sample, l, rng, n), alpha]))
     order = compare_many(sample, loc, np.arange(n), np.full(n, n))
     p = int(np.count_nonzero(order == Order.LEFT.value)) / n
     return tot * p, tot * np.sqrt(p * (1.0 - p) / n)

@@ -9,10 +9,10 @@ never perturbs earlier draws.
 
 Each stage takes its draws in batches: the cut exponentials in blocks, the
 glue uniforms in one array.  A batch gives the same numbers as the scalar
-calls it replaces, and every draw is then inverted by one scalar routine
-(``next_cut`` for cuts, ``MeasureState._invert`` for positions) working on
-list copies of the atom tables, so seeded samples are bit-identical to
-draw-by-draw sampling.
+calls it replaces, and every draw is then inverted by one routine
+(``next_cut`` for cuts, on list copies of the atom tables, and
+``MeasureState._invert`` for positions, on arrays), so seeded samples are
+bit-identical to draw-by-draw sampling.
 """
 from __future__ import annotations
 
@@ -92,6 +92,7 @@ class MeasureState:
         self.xs_sorted = self.xs[order]
         self.ws_sorted = self.ws[order]
         self.cum_sorted = np.concatenate([[0.0], np.cumsum(self.ws_sorted)])
+        self._xs_after = np.r_[0.0, self.xs_sorted]  # row k > 0: the k-th atom
         # list copies: scalar lookups on lists are several times cheaper
         self._xs = self.xs_sorted.tolist()
         self._cum = self.cum_sorted.tolist()
@@ -147,22 +148,23 @@ class MeasureState:
 
     def draw_position(self, l: float, rng: np.random.Generator) -> float:
         """One draw from mu restricted to [0, l], normalized."""
-        return self._invert(l, rng.random())
+        return float(self._invert(l, rng.random()))
 
-    def _invert(self, l: float, u: float) -> float:
-        """The point of mu restricted to [0, l] at quantile u in [0, 1):
-        the Lebesgue part first, then the atoms in position order."""
-        tot = self.mass_prefix(l)
-        if tot <= 0:
-            raise SamplerError("cannot draw from a zero measure")
-        r = u * tot
+    def _invert(self, l, u) -> np.ndarray:
+        """The points of mu restricted to [0, l] at quantiles u in [0, 1),
+        l one level or one per draw: the Lebesgue part first, then the atoms
+        in position order, the first whose prefix sum exceeds the rest."""
+        i = self.xs_sorted.searchsorted(l, side="right")  # the atoms within l
         leb = self.theta0_sq * l
-        if r < leb:
-            return r / self.theta0_sq
-        r -= leb
-        i = bisect_right(self._xs, l)
-        j = bisect_right(self._cum, r, 1, i + 1) - 1
-        return self._xs[min(j, i - 1)]
+        tot = leb + self.cum_sorted[i]
+        r = u * tot
+        if r.size and not (tot > 0).all():  # as at a negative level
+            raise SamplerError("cannot draw from a zero measure")
+        rest = r - leb
+        # a Lebesgue draw (rest < 0) reads row 0, 0.0, and an atom draw adds
+        # 0.0; theta0_sq = 0 leaves no Lebesgue draw, the 1.0 avoids 0 / 0
+        j = np.minimum(self.cum_sorted.searchsorted(rest, side="right"), i)
+        return self._xs_after[j] + (rest < 0) * (r / (self.theta0_sq or 1.0))
 
 
 def sample_atoms(spec: ThetaSpec, rng: np.random.Generator) -> MeasureState:
@@ -291,9 +293,8 @@ def sample_glue(
     measure: MeasureState, cuts, rng: np.random.Generator
 ) -> np.ndarray:
     """Glue points Z_i drawn from mu restricted to [0, Y_i], normalized."""
-    cuts = np.asarray(cuts, dtype=float).tolist()
-    us = rng.random(len(cuts)).tolist()
-    return np.asarray([measure._invert(y, u) for y, u in zip(cuts, us)])
+    cuts = np.asarray(cuts, dtype=float)
+    return measure._invert(cuts, rng.random(cuts.size))
 
 
 @dataclass

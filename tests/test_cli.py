@@ -295,7 +295,8 @@ class TestDims:
 
     def test_branches_set_the_cloud_sample(self, tmp_path):
         """--branches stops the cloud's sample: a rerun writes the same
-        bytes, and 400 branches give other box counts than 40."""
+        bytes, 400 branches give other box counts than 40, and the report
+        records the sample's level and branch count."""
         args = ["dims", "--alpha", "1.5", "--K", "200", "--cloud", "500", "--seed", "0"]
         out = {}
         for name, n in (("a", 40), ("b", 40), ("c", 400)):
@@ -305,6 +306,9 @@ class TestDims:
         assert out["a"] == out["b"]
         box = {k: json.loads(v)["report"]["boxcount"] for k, v in out.items()}
         assert box["a"] != box["c"]
+        # the report names the sample behind the counts: its last cut
+        assert box["a"]["branches"] == 40 and box["c"]["branches"] == 400
+        assert box["a"]["level"] < box["c"]["level"]
 
     def test_negative_cloud_rejected(self, tmp_path, capsys):
         code, out = run(["dims", "--theta0", "1", "--cloud", "-1"], tmp_path, "d.json")

@@ -6,10 +6,13 @@ import pytest
 
 import icrt_lab.contour
 from icrt_lab import (
+    AngleTable,
     FieldRealization,
+    MeasureState,
     Order,
     StopRule,
     ThetaSpec,
+    assemble_sample,
     compare,
     build_contour_table,
     contour_eval,
@@ -141,17 +144,17 @@ class TestTable:
         for tab in (cycle_table, mixed_table):
             assert tab.ts[0] == 0.0
             assert tab.ts[-1] == pytest.approx(1.0, abs=1e-12)
-            assert tab.points[0] == (0.0, 0.0)
-            assert tab.points[-1] == (0.0, 1.0)
+            assert tab.points[0].tolist() == [0.0, 0.0]
+            assert tab.points[-1].tolist() == [0.0, 1.0]
 
     def test_fractions_nondecreasing(self, mixed_table):
         assert np.all(np.diff(mixed_table.ts) >= -1e-9)
 
     def test_cycle_fraction_equals_angle(self, cycle_table, cycle_sample):
         x1 = float(cycle_sample.measure.xs[0])
-        for p, t in zip(cycle_table.points, cycle_table.ts):
-            if p.pos == x1:
-                assert t == pytest.approx(p.angle, abs=1e-12)
+        for (pos, angle), t in zip(cycle_table.points, cycle_table.ts):
+            if pos == x1:
+                assert t == pytest.approx(angle, abs=1e-12)
 
     def test_lipschitz_certificate(self, mixed_table, powerlaw_sample):
         tab = mixed_table
@@ -177,7 +180,7 @@ class TestTable:
             brownian_sample, resolution=500, rng=keyed_generator(3, 3)
         )
         for tab in (*tied_tables, brownian_table, cycle_table):
-            assert tab.points == _contour_sorted(tab.sample, tab.points)
+            assert np.array_equal(tab.points, _contour_sorted(tab.sample, tab.points))
         for tab in tied_tables:
             assert np.count_nonzero(np.diff(tab.ts) == 0.0) >= 1
 
@@ -205,9 +208,7 @@ class TestTable:
         calls, locate_ = [], icrt_lab.contour.locate
 
         def reversing_locate(sample, points, l=None):
-            # reordered in place: the build reads its points from this list
-            points[:] = _contour_sorted(sample, points)[::-1]
-            return locate_(sample, points, l)
+            return locate_(sample, _contour_sorted(sample, points)[::-1], l)
 
         def counting_precedes(sample, loc, i, k):
             out = precedes(sample, loc, i, k)
@@ -221,9 +222,23 @@ class TestTable:
         monkeypatch.setattr(icrt_lab.contour, "left_fractions", constant)
         monkeypatch.setattr(icrt_lab.contour, "precedes", counting_precedes)
         tab = build_contour_table(hand_sample)
-        assert tab.points == _contour_sorted(hand_sample, tab.points)
+        assert np.array_equal(tab.points, _contour_sorted(hand_sample, tab.points))
         assert np.all(calls[0])  # every adjacent pair started out of order
         assert len(calls) <= len(tab) + 1
+
+    def test_coincident_candidates_kept_once(self):
+        # a glue corner on the root corner (0, 0), and one on the angle grid
+        # of the atom at 0.25, at 0.5 = 32/64
+        spec = ThetaSpec(math.sqrt(0.55), (0.6, 0.3))
+        measure = MeasureState(0.55, [0.25, 1.25], [0.6, 0.3])
+        angles = AngleTable([0.2, 0.8], [0.0, 0.5])
+        s = assemble_sample(spec, measure, [1.0, 2.0], [0.0, 0.25], angles, 3.0)
+        want = {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)}
+        want |= {(0.0, 0.0), (0.25, 0.5)}
+        want |= {(x, k / 64) for x in (0.25, 1.25) for k in range(64)}
+        tab = build_contour_table(s)
+        assert len(tab) == len(want) == 133
+        assert sorted(map(tuple, tab.points.tolist())) == sorted(want)
 
     def test_degenerate_measure_rejected(self, powerlaw_sample):
         with pytest.raises(ContourError):

@@ -94,16 +94,38 @@ class TestBatchedDraws:
             for l in (s.level, 0.5 * s.level):
                 r1, r2 = keyed_generator(4, 1), keyed_generator(4, 1)
                 got = sample_loop_points(s, l, r1, 500)
-                assert got == [sample_loop_point(s, l, r2) for _ in range(500)]
+                want = [sample_loop_point(s, l, r2) for _ in range(500)]
+                assert got.shape == (500, 2)
+                assert got.tolist() == [list(p) for p in want]
                 assert r1.bit_generator.state == r2.bit_generator.state
-                assert sample_loop_points(s, l, r1, 0) == []
+                assert sample_loop_points(s, l, r1, 0).shape == (0, 2)
+
+    def test_locate_reads_lists_and_arrays(self, powerlaw_sample):
+        s, rng = powerlaw_sample, keyed_generator(4, 2)
+        pts = np.vstack([_corner_points(s), sample_loop_points(s, s.level, rng, 100)])
+        want = locate(s, pts)
+        for got in (locate(s, pts.tolist()), locate(s, [tuple(p) for p in pts])):
+            for a, b in zip(got, want):
+                assert a.tolist() == b.tolist()
+        # the result holds copies: writing to the batch leaves it alone
+        before = [v.copy() for v in want]
+        pts[:] = 0.5
+        assert all(np.array_equal(a, b) for a, b in zip(want, before))
+        assert locate(s, []).pos.shape == (0,)
+
+    def test_locate_rejects_malformed_batches(self, powerlaw_sample):
+        s = powerlaw_sample
+        rows_of_three = ([(0.5, 0.3, 0.1)] * 3, np.full((4, 3), 0.5))
+        for bad in (*rows_of_three, (0.5, 0.3), np.full((2, 2, 2), 0.5)):
+            with pytest.raises(PlaneError, match="shape"):
+                locate(s, bad)
 
     def test_compare_many_equals_compare_canonical(self, hand_sample, brownian_sample):
         zero = sample_icrt(ThetaSpec.power_law(1.5, 50), 0, StopRule(max_branches=40))
         seen = set()
         for s in (hand_sample, *_tie_samples(), brownian_sample, zero):
             rng = np.random.default_rng(3)
-            pts = _corner_points(s) + sample_loop_points(s, s.level, rng, 200)
+            pts = np.vstack([_corner_points(s), sample_loop_points(s, s.level, rng, 200)])
             loc = locate(s, pts)
             canon = list(map(LoopPoint, loc.pos.tolist(), loc.ang.tolist()))
             n = len(canon)
@@ -544,7 +566,7 @@ class TestBatchedOracles:
     def test_cloud_profiles_equal_segment_walk(self, powerlaw_sample):
         for s, pts, _ in _oracle_cases(powerlaw_sample):
             cloud = LoopCloud(s, s.level, pts)
-            for k, p in enumerate(cloud.points):
+            for k, p in enumerate(map(LoopPoint, *cloud.points.T.tolist())):
                 want = np.asarray(_profile_atoms_reference(s, p), dtype=float)
                 lev, i, u, x = want.reshape(-1, 4).T
                 m = i.size
@@ -584,8 +606,11 @@ class TestBatchedOracles:
         locate_ = icrt_lab.contour.locate
 
         def recording_locate(sample, points, l=None):
-            cands.append(points)
-            return locate_(sample, points, l)
+            # rows reversed: in the build's own order (by position, then
+            # angle) the ties of the tied samples lie in contour order
+            # already, and no round would run
+            cands.append(points[::-1])
+            return locate_(sample, cands[-1], l)
 
         def counting_precedes(sample, loc, i, k):
             calls.append(1)
@@ -607,7 +632,7 @@ class TestBatchedOracles:
                 calls.clear()
                 tab = build_contour_table(s, level, resolution, rng)
                 points, ts, eps = _scalar_insertion_table(s, level, cands[-1])
-                assert tab.points == points
+                assert tab.points.tolist() == [list(p) for p in points]
                 assert tab.ts.tolist() == ts.tolist()
                 assert tab.eps == eps
                 if s in tied and level == s.level:
@@ -618,18 +643,18 @@ class TestBatchedOracles:
 
 def _scalar_insertion_table(sample, level, cands):
     """The contour table by scalar fractions, a stable sort and a scalar
-    insertion pass of `compare_canonical` from the first pair on."""
-    points = [LoopPoint(*c) for c in cands]
-    canon = [_check_loop_point(sample, p, level) for p in points]
-    fr = [left_fraction(sample, level, p) for p in points]
-    rows = sorted(zip(fr, points, canon), key=lambda r: r[0])
+    insertion pass of `compare_canonical` from the first pair on, as the
+    snapped points (`_check_loop_point`)."""
+    canon = [_check_loop_point(sample, p, level) for p in cands.tolist()]
+    fr = [left_fraction(sample, level, p) for p in canon]
+    rows = sorted(zip(fr, canon), key=lambda r: r[0])
     first = (Order.LEFT, Order.FRONT)
     for i in range(1, len(rows)):
         j = i
-        while j > 0 and compare_canonical(sample, rows[j][2], rows[j - 1][2]) in first:
+        while j > 0 and compare_canonical(sample, rows[j][1], rows[j - 1][1]) in first:
             assert rows[j][0] - rows[j - 1][0] <= 1e-9
             rows[j - 1], rows[j] = rows[j], rows[j - 1]
             j -= 1
-    ts = np.asarray([t for t, _, _ in rows])
+    ts = np.asarray([t for t, _ in rows])
     eps = sample.mass_prefix(level) * float(np.max(np.diff(ts)))
-    return [p for _, p, _ in rows], ts, eps
+    return [p for _, p in rows], ts, eps

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -171,7 +172,45 @@ class TestCuts:
             assert n <= 2 * m.mass_prefix(l) * l
 
 
+def _invert_reference(m, l, u):
+    """The scalar inversion of mu restricted to [0, l] at quantile u: the
+    Lebesgue part, then the atoms in position order by bisection."""
+    tot = m.mass_prefix(l)
+    r, leb = u * tot, m.theta0_sq * l
+    if r < leb:
+        return r / m.theta0_sq
+    i = bisect_right(m._xs, l)
+    j = bisect_right(m._cum, r - leb, 1, i + 1) - 1
+    return m._xs[min(j, i - 1)]
+
+
 class TestGlue:
+    def test_invert_equals_scalar_reference(self):
+        rng = np.random.default_rng(9)
+        measures = [
+            sample_atoms(ThetaSpec.power_law(1.5, 60, theta0=0.4), substream(6, "atoms")),
+            MeasureState(0.0, [0.7, 0.2, 0.2, 1.5], [0.6, 0.5, 0.5, 0.37]),
+            MeasureState(1.0, [], []),
+        ]
+        for m in measures:
+            # levels at, between and past the atoms; quantiles at random and
+            # on the atoms' prefix sums
+            xs = m.xs_sorted[np.isfinite(m.xs_sorted)]
+            ls = np.r_[xs, xs + 0.05, 4.0, 9.0] if xs.size else np.r_[0.5, 4.0]
+            ls = np.repeat(ls, 12)
+            us = rng.random(ls.size)
+            tot = m.theta0_sq * ls + m.cum_sorted[np.searchsorted(xs, ls, "right")]
+            k = rng.integers(0, xs.size + 1, ls.size)
+            us[::3] = ((m.theta0_sq * ls + m.cum_sorted[k]) / tot)[::3] % 1.0
+            want = [_invert_reference(m, l, u) for l, u in zip(ls.tolist(), us.tolist())]
+            assert m._invert(ls, us).tolist() == want
+            for l in ls[::12].tolist():
+                want = [_invert_reference(m, l, u) for u in us.tolist()]
+                assert m._invert(l, us).tolist() == want
+                assert m.draw_position(l, substream(1, "glues")) == _invert_reference(
+                    m, l, substream(1, "glues").random()
+                )
+
     def test_uniform_when_no_atoms(self):
         vals = []
         for k in range(3000):
