@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
 from typing import Callable
 
 import numpy as np
@@ -98,6 +97,17 @@ class _LazyGaussianPath:
         return self.val[j]
 
 
+def _distinct(major, minor) -> tuple:
+    """The distinct pairs (major, minor) by major, then minor, from one
+    lexsort, and the index of each pair's distinct pair."""
+    key = np.lexsort((minor, major))
+    a, b, new = major[key], minor[key], np.ones(key.size, bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    inv = np.empty_like(key)
+    inv[key] = np.cumsum(new) - 1
+    return a[new], b[new], inv
+
+
 def _runs(ii) -> tuple:
     """Start and length of each run of equal values of a sorted array."""
     start = np.flatnonzero(np.append(True, ii[1:] != ii[:-1])) if ii.size else ii
@@ -126,56 +136,71 @@ class FieldRealization:
         return path
 
     def tree_values(self, positions) -> np.ndarray:
-        """Tree-field values at real-line positions (batch, any order)."""
+        """Tree-field values at real-line positions (batch, any order).  Each
+        query is a (branch, offset) pair, the root reading 0.0; the glue
+        points on their root paths join them (a marking pass over `parent`)
+        and one lexsort deduplicates all.  Held paths refine by `insert`, fresh
+        ones too below `_PROFILE_BATCH` points, else `_fill_tree` fills them."""
         sk = self.sample.skeleton
         ps = np.asarray(positions, dtype=float)
         br = sk.branches_of(ps)  # rejects a point as check_point does
         ps = np.clip(ps, 0.0, sk.total_length)
-        # each query as its branch and offset on it; the root reads 0
-        off_root = (ps > POINT_TOL).tolist()
-        queries = list(zip(br.tolist(), (ps - sk.lo[br]).tolist(), off_root))
-        need: dict[int, set] = {}
-        for b, s, keep in queries:
-            if keep:
-                need.setdefault(b, set()).add(s)
-        # glue points on the root path of each branch (hi[b] lies on b), up
-        # to the first edge already climbed
-        climbed = set()
-        for hi in sk.hi[list(need)].tolist():
-            for a, glue, c in islice(sk.ascend(hi), 1, None):
-                if c in climbed:
-                    break
-                climbed.add(c)
-                if glue > POINT_TOL:
-                    need.setdefault(a, set()).add(glue - float(sk.lo[a]))
-        # on the profile route, all fresh paths take their normals from one
-        # keyed_normals call and add them to their bases in branch order
-        order, steps = sorted(need), None
-        if len(ps) >= _PROFILE_BATCH:
-            new = {b: sorted(need[b] - {0.0}) for b in order if b not in self._branches}
-            ds = [y - x for s in new.values() for x, y in zip([0.0, *s], s)]
-            keys = [(self.seed, _TREE_TAG, b) for b in new]
-            z = keyed_normals(keys, map(len, new.values()))
-            steps = iter((np.sqrt(ds) * z).tolist())
-        for b in order:
-            path = self._branches.get(b)
-            if path is None:
-                base = 0.0
-                g = float(sk.glue_pos[b])  # 0.0 for the root branch
-                if g > POINT_TOL:
-                    pb = int(sk.parent[b])
-                    base = self._branches[pb].value(g - float(sk.lo[pb]))
+        keep = ps > POINT_TOL
+        on, b = np.zeros(sk.n_branches, bool), br[keep]
+        while b.size:  # the branches on the queries' root paths
+            on[b] = True
+            b = sk.parent[b[b > 0]]
+            b = b[~on[b]]
+        c = np.flatnonzero(on[1:] & (sk.glue_pos[1:] > POINT_TOL)) + 1  # their edges
+        nq, pb = np.count_nonzero(keep), np.r_[br[keep], sk.parent[c]]
+        pb, off, inv = _distinct(pb, np.r_[ps[keep], sk.glue_pos[c]] - sk.lo[pb])
+        glued = np.full(sk.n_branches, -1)  # the pair of each edge's glue point
+        glued[c] = inv[nq:]
+        vals, fresh, offs = np.zeros(pb.size), [], off.tolist()
+        start, count = _runs(pb)  # a branch's offsets are off[a:a + n], by branch
+        for b, a, n in zip(pb[start].tolist(), start.tolist(), count.tolist()):
+            path, g = self._branches.get(b), glued[b]
+            if path is None:  # based at the parent's value at the glue point
+                base = float(vals[g]) if g >= 0 else 0.0  # unknown yet if fresh
                 path = _LazyGaussianPath((self.seed, _TREE_TAG, b), base)
                 self._branches[b] = path
-                if steps is not None:  # the sequential adds of `insert`
-                    path.pos += new[b]
-                    path.val = list(accumulate(islice(steps, len(new[b])), initial=base))
-                    path.drawn = len(new[b])
+                if ps.size >= _PROFILE_BATCH:
+                    fresh.append((b, a, n))
                     continue
-            path.insert_batch(need[b])
-        return np.asarray(
-            [self._branches[b].value(s) if keep else 0.0 for b, s, keep in queries]
-        )
+            vals[a : a + n] = [path.insert(s) for s in offs[a : a + n]]
+        if fresh:
+            self._fill_tree(np.array(fresh).T, off, vals, glued)
+        out = np.zeros(ps.size)
+        out[keep] = vals[inv[:nq]]
+        return out
+
+    def _fill_tree(self, fresh, off, vals, glued) -> None:
+        """`insert_batch` on fresh tree paths, bit for bit: per path its branch
+        b and its run [a, a + n) of the pairs (off, vals), offsets above
+        POINT_TOL.  Row [base, sqrt(Δs) * z, ...] of m adds in sequence under
+        `np.cumsum`; a path's row is filled once its parent's row is."""
+        sk, (b, a, n) = self.sample.skeleton, fresh
+        row = np.repeat(np.arange(b.size), n)
+        col = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n) + 1
+        p = a[row] + col - 1  # each pair of the paths
+        ds = off[p] - np.where(col > 1, off[p - 1], 0.0)
+        m = np.zeros((b.size, n.max() + 1))
+        z = keyed_normals([(self.seed, _TREE_TAG, k) for k in b.tolist()], n)
+        m[row, col] = np.sqrt(ds) * z
+        # by generations, each path based at 0.0 at the root, else at its
+        # parent's value at the glue point; a -1 reads a discarded value
+        g, pending = glued[b], np.zeros(sk.n_branches, bool)
+        pending[b] = True
+        while pending[b].any():
+            r = np.flatnonzero(pending[b] & ((g < 0) | ~pending[sk.parent[b]]))
+            m[r, 0] = np.where(g[r] >= 0, vals[g[r]], 0.0)
+            m[r] = np.cumsum(m[r], axis=1)
+            pending[b[r]] = False
+            vals[p] = m[row, col]
+        offs, vl, runs = off.tolist(), vals.tolist(), zip(a.tolist(), (a + n).tolist())
+        for k, base, (i, j) in zip(b.tolist(), m[:, 0].tolist(), runs):
+            path = self._branches[k]
+            path.pos, path.val, path.drawn = [0.0, *offs[i:j]], [base, *vl[i:j]], j - i
 
     def tree_value(self, p: float) -> float:
         return float(self.tree_values([p])[0])
@@ -228,20 +253,26 @@ class FieldRealization:
         bridge terms added one column at a time, in walk order."""
         atoms = self.sample.atoms
         sq, tail = np.sqrt(atoms.ws), np.zeros(loc.pos.size)  # a pad reads 0.0
-        for j, v in zip(prof.at.T, self._bridge_table(atoms.ix, prof.at, prof.ang).T):
+        for j, v in zip(prof.at.T, self._bridge_table(prof.at, prof.ang).T):
             tail += sq[j] * v  # not sum(), which compensates from Python 3.12 on
         return self._tree_part(loc.pos) + tail
 
-    def _bridge_table(self, ix, at, ang) -> np.ndarray:
-        """Bridge ix[j] at angle u for each (j, u) of the padded arrays of a
-        `ProfileSet`, 0.0 at a pad: bridges that hold values refine by
-        `insert`, fresh ones are filled by `_fill_bridges`."""
-        pad = at > 0
-        key = np.lexsort((ang[pad], at[pad]))  # by atom, then angle
-        jj, uu = at[pad][key], ang[pad][key]
-        new = np.ones(jj.size, bool)
-        new[1:] = (jj[1:] != jj[:-1]) | (uu[1:] != uu[:-1])
-        ii, uu, pair = ix[jj[new]], uu[new], np.cumsum(new) - 1
+    def _bridge_table(self, at, ang) -> np.ndarray:
+        """Bridge ix[j] at angle u for each (j, u) of the padded atom rows and
+        angles of a `ProfileSet`, 0.0 at a pad: bridges that hold values
+        refine by `insert`, fresh ones are filled by `_fill_bridges`.  Most
+        entries sit at their atom's own angle: those are not sorted, but
+        read the pair of their atom, which joins the other entries'."""
+        atoms, pad = self.sample.atoms, at > 0
+        j, u = at[pad], ang[pad]
+        own, slot = u == atoms.us[j], np.zeros(atoms.ix.size, np.intp)
+        slot[j[own]] = 1  # the atoms seen at their own angle
+        jo, rest = np.flatnonzero(slot), np.flatnonzero(~own)
+        # those atoms once each and the other entries, as distinct pairs
+        jj, uu, pair = _distinct(np.r_[jo, j[rest]], np.r_[atoms.us[jo], u[rest]])
+        slot[jo], ii = pair[: jo.size], atoms.ix[jj]
+        which = slot[j]  # each entry's pair
+        which[rest] = pair[jo.size :]
         # each atom's sorted angles are uu[a:a + n]
         vals, fresh = np.zeros(ii.size), np.ones(ii.size, bool)  # 0.0 at 0 and 1
         start, count = _runs(ii)
@@ -254,9 +285,8 @@ class FieldRealization:
         inner = np.flatnonzero(fresh & (uu > 0.0) & (uu < 1.0))
         if inner.size:
             vals[inner] = self._fill_bridges(ii[inner], uu[inner])
-        out, got = np.zeros(at.shape), np.empty(key.size)
-        got[key] = vals[pair]
-        out[pad] = got
+        out = np.zeros(at.shape)
+        out[pad] = vals[which]
         return out
 
     def _fill_bridges(self, ii, uu) -> np.ndarray:

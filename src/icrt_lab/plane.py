@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -351,24 +352,8 @@ def lukasiewicz_value(sample: IcrtSample, alpha) -> float:
 # ---------------------------------------------------------------------------
 # per-level mass cache
 # ---------------------------------------------------------------------------
-# a point of a branch with no atom and nothing glued to it
-_OFF_EVENT = (0.0, 0.5, [], [0.0])
 # whether an angle lies on a side of the direction tau
 _BEYOND = {"left": operator.lt, "right": operator.gt, "front": operator.eq}
-
-
-def _event_mass(event, tau: float, side: str) -> float:
-    """Mass of an event on one side of the direction tau: the atom's share
-    of its loop, plus the branches glued there whose angle is below tau
-    (left), above it (right) or equal to it (front)."""
-    th, _, angs, cm = event
-    j = bisect_left(angs, tau)
-    if side == "left":
-        return th * tau + cm[j]
-    k = bisect_right(angs, tau)
-    if side == "right":
-        return th * (1.0 - tau) + (cm[-1] - cm[k])
-    return cm[k] - cm[j]
 
 
 class MassCache:
@@ -384,6 +369,11 @@ class MassCache:
     masses as prefix sums over the events.  The lists lie end to end in
     branch order, sorted as a whole, as a branch's events lie on it; the
     events below a point of branch b, plus b, index b's prefix sums.
+
+    The events lie in one flat table (`_ev`, lists): per event e, th[e],
+    u[e], the hang angles hang[start[e]:start[e + 1]] and their cumulated
+    masses cm[start[e] + e : start[e + 1] + e + 1]; event len(pos) is the
+    point off every event.
     """
 
     def __init__(self, sample: IcrtSample, l: float):
@@ -413,32 +403,37 @@ class MassCache:
 
         # per branch: the events by position, and prefix sums over them of
         # each side's mass and, for mass_above, of atom and child masses
-        self.pos, self.events, self.atom_cum, self.kid_cum = [], [], [], []
+        self.pos, self.atom_cum, self.kid_cum = [], [], []
         self.cum = {"left": [], "right": []}
         self.last = []  # where each branch's prefix sums end
+        self._ev = th, u, hang, cm, start = [], [], [], [], [0]
         for (i, j), ks in zip(rows, kids):
             at_x = {xl[k]: (wl[k], ul[k], []) for k in range(i, j)}
             for c in ks:
                 at_x.setdefault(glue[c], (0.0, 0.5, []))[2].append(c)
-            pos = sorted(at_x)
-            events, acum, kcum = [], [0.0], [0.0]
+            pos, e0 = sorted(at_x), len(th)
+            acum, kcum = [0.0], [0.0]
             for x in pos:
-                th, u, cs = at_x[x]
-                acum.append(acum[-1] + th)
+                w, v, cs = at_x[x]
+                acum.append(acum[-1] + w)
                 kcum.append(kcum[-1])
                 for c in cs:  # in glue-position order, like mass_sub
                     kcum[-1] += sub[c]
                 cs.sort(key=sample.branch_angle)
-                hang = list(accumulate((sub[c] for c in cs), initial=0.0))
-                events.append((th, u, [sample.branch_angle(c) for c in cs], hang))
+                th.append(w)
+                u.append(v)
+                hang += map(sample.branch_angle, cs)
+                cm += accumulate((sub[c] for c in cs), initial=0.0)
+                start.append(len(hang))
             self.pos += pos
-            self.events += events
             self.atom_cum += acum
             self.kid_cum += kcum
             self.last.append(len(self.atom_cum) - 1)
             for side, cum in self.cum.items():
-                sums = (_event_mass(e, e[1], side) for e in events)
+                sums = (self._event_mass(e, u[e], side) for e in range(e0, len(th)))
                 cum += accumulate(sums, initial=0.0)
+        # then the point off every event: weight 0, angle 1/2, no hang
+        self._ev = th + [0.0], u + [0.5], hang, cm + [0.0], start + [len(hang)]
 
         self.lo = sk.lo[:nb].tolist()
         # per edge c > 0: its parent, glue point and angle (`steps`)
@@ -447,6 +442,34 @@ class MassCache:
         self._steps = {}
 
     # ------------------------------------------------------------------
+    def _event_mass(self, e: int, tau: float, side: str) -> float:
+        """Mass of event e on one side of the direction tau: the atom's
+        share of its loop, plus the branches glued there whose angle is
+        below tau (left), above it (right) or equal to it (front)."""
+        th, _, hang, cm, start = self._ev
+        a, z = start[e], start[e + 1]
+        j = bisect_left(hang, tau, a, z) + e
+        if side == "left":
+            return th[e] * tau + cm[j]
+        k = bisect_right(hang, tau, a, z) + e
+        if side == "right":
+            return th[e] * (1.0 - tau) + (cm[z + e] - cm[k])
+        return cm[k] - cm[j]
+
+    def _event_masses(self, e, tau, side: str) -> np.ndarray:
+        """`_event_mass` on arrays, left or right: the same float operations.
+        A hang angle lies below (left; up to, right) tau when fewer lie below
+        it than below (up to) tau: one exact merge of (event, count) keys."""
+        th, _, hang, cm, start = self._arrays[-1]
+        angles = np.sort(hang)
+        key = np.repeat(np.arange(th.size), np.diff(start)) * (hang.size + 1)
+        key += np.searchsorted(angles, hang)  # sorted as the table is
+        q = np.searchsorted(angles, tau, side=side)
+        j = np.searchsorted(key, e * (hang.size + 1) + q) + e
+        if side == "left":
+            return th[e] * tau + cm[j]
+        return th[e] * (1.0 - tau) + (cm[start[e + 1] + e] - cm[j])
+
     def step(self, b: int, x: float, tau: float, side: str) -> tuple:
         """The three terms a root-path walk adds on branch b when it reaches
         x with direction tau: the Lebesgue mass of [lo[b], x], which splits
@@ -458,36 +481,42 @@ class MassCache:
             self.point_mass(b, x, tau, side),
         )
 
-    def steps(self, side: str) -> list:
+    def steps(self, side: str) -> tuple:
         """Per branch c > 0, the `step` of a walk that comes up through c onto
-        its parent at glue_pos[c] with c's angle, all rows from one
-        `step_arrays` call; row 0 is unused."""
-        rows = self._steps.get(side)
-        if rows is None:
-            terms = self.step_arrays(*self._edges, side).tolist()
-            rows = [(0.0, 0.0, 0.0), *zip(*terms)]
-            self._steps[side] = rows
-        return rows
+        its parent at glue_pos[c] with c's angle, all from one `step_arrays`
+        call: a (3, nb) array with column 0 unused (zeros), and its columns
+        as tuples for the scalar walk."""
+        out = self._steps.get(side)
+        if out is None:
+            table = np.c_[np.zeros(3), self.step_arrays(*self._edges, side)]
+            out = self._steps[side] = table, list(zip(*table.tolist()))
+        return out
 
     def step_arrays(self, br, x, tau, side: str) -> np.ndarray:
         """`step` for arrays of points on the left or right side, as a (3, n)
-        array of terms: the same float operations, with `_event_mass` the
-        one scalar call."""
-        ac, kc, cum = map(np.asarray, (self.atom_cum, self.kid_cum, self.cum[side]))
-        events, pos = [*self.events, _OFF_EVENT], np.r_[self.pos, np.inf]
+        array of terms: the same float operations, the events' masses from
+        `_event_masses`."""
+        pos, ac, kc, last, lo, cum, (_, u, *_) = self._arrays
         g = np.searchsorted(pos, x)
         on = pos[g] == x
-        e = np.where(on, g, len(self.events))  # the event at x, or _OFF_EVENT
-        k, last = g + on + br, np.asarray(self.last)[br]  # mass_above
+        e = np.where(on, g, len(self.pos))  # the event at x, or the off event
+        k, last = g + on + br, last[br]  # mass_above
         above = self.t0 * np.maximum(self.clip_hi[br] - x, 0.0)
         above += ac[last] - ac[k]
         above += kc[last] - kc[k]
-        evs = [events[i] for i in e.tolist()]
-        here = [_event_mass(ev, t, side) for ev, t in zip(evs, tau.tolist())]
-        beyond = _BEYOND[side](np.asarray([ev[1] for ev in evs]), tau)
-        here = np.where(beyond, np.add(here, above), here)
-        lebesgue = 0.5 * self.t0 * (x - np.asarray(self.lo)[br])
-        return np.array([lebesgue, cum[g + br], here])
+        here = self._event_masses(e, tau, side)
+        here = np.where(_BEYOND[side](u[e], tau), here + above, here)
+        lebesgue = 0.5 * self.t0 * (x - lo[br])
+        return np.array([lebesgue, cum[side][g + br], here])
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        """Array copies for `step_arrays`: pos (then inf), the prefix sums,
+        last, lo, cum and the event table."""
+        lists = self.atom_cum, self.kid_cum, self.last, self.lo
+        cum = {side: np.asarray(v) for side, v in self.cum.items()}
+        ev = tuple(map(np.asarray, self._ev))
+        return np.r_[self.pos, np.inf], *map(np.asarray, lists), cum, ev
 
     def mass_above(self, b: int, x: float) -> float:
         """Mass of the continuing component of branch b strictly above x."""
@@ -502,10 +531,10 @@ class MassCache:
         the event at x, and the continuing component above x when its
         angle lies on that side."""
         pos = self.pos
-        k = bisect_left(pos, x)
-        ev = self.events[k] if k < len(pos) and pos[k] == x else _OFF_EVENT
-        out = _event_mass(ev, tau, side)
-        if _BEYOND[side](ev[1], tau):
+        e = bisect_left(pos, x)
+        e = e if e < len(pos) and pos[e] == x else len(pos)
+        out = self._event_mass(e, tau, side)
+        if _BEYOND[side](self._ev[1][e], tau):
             out += self.mass_above(b, x)
         return out
 
@@ -525,7 +554,7 @@ def mass_cache(sample: IcrtSample, l: float) -> MassCache:
 def _directional_mass(sample: IcrtSample, l: float, alpha, side: str) -> float:
     a = _check_loop_point(sample, alpha, l)
     mc = mass_cache(sample, l)
-    steps = mc.steps(side)
+    _, steps = mc.steps(side)
     total = 0.0
     for b, _, child in sample.skeleton.ascend(a.pos):
         for term in mc.step(b, a.pos, a.angle, side) if child < 0 else steps[child]:
@@ -543,7 +572,7 @@ def _directional_masses(sample: IcrtSample, l: float, points, side: str) -> np.n
     mc = mass_cache(sample, l)
     for term in mc.step_arrays(loc.br, loc.pos, loc.ang, side):
         total += term
-    steps = np.array(mc.steps(side)).T
+    steps, _ = mc.steps(side)
     levels = sample.skeleton.climb(loc.br, loc.pos)
     next(levels)  # the own branches, stepped above
     for rows, _, _, c in levels:

@@ -47,7 +47,8 @@ def _hashmix(v, c, into=None):
 
 def keyed_normals(keys, counts) -> np.ndarray:
     """`concatenate([keyed_generator(*k).standard_normal(m) ...])` over
-    zip(keys, counts), bit for bit, with no generator built per key: numpy's
+    zip(keys, counts), bit for bit, with no generator built per key (keys
+    and counts of different lengths raise a ValueError): numpy's
     SeedSequence algorithm (`mix_entropy` into a 4-word pool, then
     `generate_state`) runs once over the keys of each length in uint32
     arrays, and PCG64's seeding (`pcg64_set_seed`: inc = 2 seq + 1, two LCG
@@ -74,7 +75,7 @@ def keyed_normals(keys, counts) -> np.ndarray:
         w = _hashmix(np.tile(pool, 2), _B).astype(np.uint64)
         seeds[rows] = w[:, 0::2] | w[:, 1::2] << np.uint64(32)  # little-endian pairs
     gen, out = np.random.Generator(np.random.PCG64(0)), [np.empty(0)]
-    for (s0, s1, i0, i1), m in zip(seeds.tolist(), counts):
+    for (s0, s1, i0, i1), m in zip(seeds.tolist(), counts, strict=True):
         inc = (i0 << 65 | i1 << 1 | 1) & _M128
         state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
         gen.bit_generator.state = dict(_PCG64, state={"state": state, "inc": inc})

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from icrt_lab.fields import (
     atom_probe_points,
     export_field_trace,
 )
-from icrt_lab.plane import path_atom_angles
+from icrt_lab.plane import locate, path_atom_angles, profiles, sample_loop_points
+from icrt_lab.skeleton import POINT_TOL
 from icrt_lab.util import keyed_generator
 
 
@@ -110,43 +112,85 @@ class TestBridges:
 
 class TestFreshFill:
     def test_tree_fill_equals_insert_batch(self, powerlaw_sample, monkeypatch):
-        s, rng = powerlaw_sample, np.random.default_rng(13)
-        big = (s.level * rng.random(300)).tolist()
-        for held in ([], (s.level * rng.random(5)).tolist()):
-            got = FieldRealization(s, 3)
-            got.tree_values(held)  # paths that already hold values
-            vals = got.tree_values(big)  # fresh paths filled in one pass
-            assert any(p._rng is None and p.drawn for p in got._branches.values())
-            with monkeypatch.context() as mp:  # every fresh path by insert_batch
-                mp.setattr(fields, "_PROFILE_BATCH", len(big) + 1)
-                ref = FieldRealization(s, 3)
-                ref.tree_values(held)
-                assert ref.tree_values(big).tolist() == vals.tolist()
-            assert got._branches.keys() == ref._branches.keys()
-            for b, path in got._branches.items():
-                r = ref._branches[b]
-                assert (path.pos, path.val, path.drawn) == (r.pos, r.val, r.drawn)
-                for x in (0.5 * path.pos[-1], path.pos[-1] + 0.3):
-                    assert path.insert(x) == r.insert(x)  # the same stream on
+        """Fresh and held paths together, on the fixture and on a theta0 = 0
+        sample (every branch glued on an atom, some on one atom), with
+        points within POINT_TOL of the root and of the cuts, and at the glue
+        points; and a batch on the deepest branch alone, whose ancestors
+        hold no query."""
+        zero = sample_icrt(
+            ThetaSpec.power_law(1.5, 60, theta0=0.0), 6, StopRule(max_level=6.0)
+        )
+        for s, k in itertools.product((powerlaw_sample, zero), range(2)):
+            rng, sk = np.random.default_rng(13), s.skeleton
+            marks = [x + d * POINT_TOL for x in sk.lo.tolist() for d in (-0.5, 0, 0.5)]
+            marks = [x for x in marks if x <= s.level] + sk.glues.tolist()
+            big = (s.level * rng.random(300)).tolist() + marks
+            if k:  # the deepest branch alone
+                b = int(np.argmax(sk.attach_depth))
+                big = (sk.hi[b] - (sk.hi[b] - sk.lo[b]) * rng.random(40)).tolist()
+            for held in ([], (s.level * rng.random(5)).tolist()):
+                got = FieldRealization(s, 3)
+                got.tree_values(held)  # paths that already hold values
+                vals = got.tree_values(big)  # fresh paths filled in one pass
+                assert any(p._rng is None and p.drawn for p in got._branches.values())
+                # each query's offset on its branch, and the glue points off
+                # the root on its root path, as offsets on the parents
+                want = {}
+                for x in (x for x in held + big if x > POINT_TOL):
+                    for a, top, c in sk.ascend(x):
+                        if c < 0 or top > POINT_TOL:
+                            want.setdefault(a, set()).add(top - float(sk.lo[a]))
+                assert {a: set(p.pos[1:]) for a, p in got._branches.items()} == want
+                with monkeypatch.context() as mp:  # every fresh path by insert_batch
+                    mp.setattr(fields, "_PROFILE_BATCH", len(big) + 1)
+                    ref = FieldRealization(s, 3)
+                    ref.tree_values(held)
+                    assert ref.tree_values(big).tolist() == vals.tolist()
+                assert got._branches.keys() == ref._branches.keys()
+                for b, path in got._branches.items():
+                    r = ref._branches[b]
+                    assert (path.pos, path.val, path.drawn) == (r.pos, r.val, r.drawn)
+                    for x in (0.5 * path.pos[-1], path.pos[-1] + 0.3):
+                        assert path.insert(x) == r.insert(x)  # the same stream on
 
     def test_bridge_fill_equals_insert_batch(self, powerlaw_sample):
-        rng = np.random.default_rng(12)
-        pool = [0.0, 1.0, *rng.random(30).tolist()]
-        idx = rng.integers(-1, 15, size=(60, 9))  # -1 pads
-        ang = rng.choice(pool, size=idx.shape)
-        idx[0, :3], ang[0, :3] = 20, [0.0, 1.0, 0.0]  # a bridge with no draw
-        r = FieldRealization(powerlaw_sample, 31)
-        # place j of the sorted atoms holds atom j - 1; place 0 pads
-        got = r._bridge_table(np.arange(-1, 21), idx + 1, ang)
-        assert np.all(got[idx < 0] == 0.0)
-        for i in set(idx[idx >= 0].tolist()):
-            ref = _LazyGaussianPath((31, _BRIDGE_TAG, i), 0.0, pinned_end=(1.0, 0.0))
-            ref.insert_batch(ang[idx == i].tolist())
-            path = r._bridges[i]
-            assert (path.pos, path.val) == (ref.pos, ref.val)
-            assert path.drawn == ref.drawn  # 0 for a bridge with no draw
-            assert got[idx == i].tolist() == [ref.value(u) for u in ang[idx == i]]
-            assert path.insert(0.123) == ref.insert(0.123)  # the same stream on
+        """`_bridge_table` on a real `ProfileSet`, fresh and with bridges that
+        already hold values, against one `insert_batch` per bridge.  The
+        points are draws, and points at the atoms the draws pass at angles
+        0.0, 1.0, the atom's own and a random one; one atom no draw passes
+        is queried at 0.0 and 1.0 only, a bridge with no draw."""
+        s, rng = powerlaw_sample, np.random.default_rng(12)
+        atoms, draws = s.atoms, sample_loop_points(s, s.level, rng, 100)
+        seen = set(profiles(s, locate(s, draws)).at.ravel().tolist())
+        spare = min(set(range(1, atoms.xs.size)) - seen)
+        marks = [
+            (atoms.xl[j], u)
+            for j in sorted(seen - {0})
+            for u in (0.0, 1.0, float(atoms.us[j]), rng.random())
+        ]
+        ends = [(atoms.xl[spare], 0.0), (atoms.xl[spare], 1.0)]
+        prof = profiles(s, locate(s, np.vstack([draws, marks, ends])))
+        ix = atoms.ix[prof.at]
+        own = (prof.at > 0) & (prof.ang == atoms.us[prof.at])
+        assert own.any() and (prof.at > 0)[~own].any()  # both kinds of entries
+        bridges = sorted(set(ix[prof.at > 0].tolist()))
+        for held in ({}, {i: rng.random(3).tolist() for i in bridges[::4]}):
+            r = FieldRealization(s, 31)
+            for i, angs in held.items():
+                r.bridge_values(i, angs)
+            got = r._bridge_table(prof.at, prof.ang)
+            assert np.all(got[prof.at == 0] == 0.0)
+            assert r._bridges[int(atoms.ix[spare])].drawn == 0  # a bridge with no draw
+            for i in bridges:
+                angs = prof.ang[ix == i].tolist()
+                ref = _LazyGaussianPath((31, _BRIDGE_TAG, i), 0.0, (1.0, 0.0))
+                ref.insert_batch(held.get(i, []))
+                ref.insert_batch(angs)
+                path = r._bridges[i]
+                assert (path.pos, path.val) == (ref.pos, ref.val)
+                assert path.drawn == ref.drawn
+                assert got[ix == i].tolist() == [ref.value(u) for u in angs]
+                assert path.insert(0.123) == ref.insert(0.123)  # the same stream on
 
 
 class TestFennec:

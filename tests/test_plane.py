@@ -36,6 +36,7 @@ from icrt_lab.plane import (
     left_fractions,
     locate,
     lukasiewicz_values,
+    mass_cache,
     monte_carlo_left_mass,
     path_atom_angles,
     precedes,
@@ -388,6 +389,39 @@ class TestBatch:
         for s, l, pts in _batch_cases(hand_sample, powerlaw_sample, brownian_sample):
             scalar = [right_mass(s, l, p) for p in pts]
             assert _directional_masses(s, l, pts, "right").tolist() == scalar
+
+    def test_step_arrays_equal_scalar_step(self, powerlaw_sample, brownian_sample):
+        """Every contour candidate, plus each event at angles 0.0 and 1.0 and
+        at the angles of the branches glued there, where tau equals a hang
+        angle (`<` against `<=`); and the step table against `step` at each
+        edge's glue point and angle.  The theta0 = 0 sample glues every
+        branch on an atom, some of them on one atom."""
+        zero = sample_icrt(
+            ThetaSpec.power_law(1.5, 60, theta0=0.0), 6, StopRule(max_branches=17)
+        )
+        for s in (powerlaw_sample, zero, brownian_sample):
+            sk, mc = s.skeleton, mass_cache(s, s.level)
+            rng = np.random.default_rng(3)
+            table = build_contour_table(s, resolution=500, rng=rng)
+            hangs = {x: [0.0, 1.0] for x in mc.pos}
+            for x, u in zip(sk.glues.tolist(), s.angles.glue_angles.tolist()):
+                hangs[x].append(u)
+            marks = [(x, u) for x, us in hangs.items() for u in us]
+            loc = locate(s, np.vstack([table.points, marks]))
+            on = np.isin(loc.pos, mc.pos)
+            assert on.any() and not on.all()  # points on and off the events
+            cols = loc.br.tolist(), loc.pos.tolist(), loc.ang.tolist()
+            for side in ("left", "right"):
+                got = mc.step_arrays(loc.br, loc.pos, loc.ang, side)
+                assert got.T.tolist() == [list(mc.step(*p, side)) for p in zip(*cols)]
+                steps, rows = mc.steps(side)
+                edges = zip(sk.parent[1:].tolist(), sk.glues.tolist())
+                want = [
+                    mc.step(b, x, s.branch_angle(c), side)
+                    for c, (b, x) in enumerate(edges, 1)
+                ]
+                assert steps[:, 1:].T.tolist() == [list(w) for w in want]
+                assert rows == [(0.0, 0.0, 0.0), *want] and not steps[:, 0].any()
 
     def test_empty(self, hand_sample):
         out = left_fractions(hand_sample, 3.0, [])

@@ -29,3 +29,11 @@ class TestKeyedNormals:
         for key in ((-1, 101, 0), (3, 101, -2**40)):
             with pytest.raises(ValueError):
                 keyed_normals([(3, 101, 0), key], [1, 1])
+
+    def test_length_mismatch_raises(self):
+        # more keys than counts (a list, an iterator, an array), and more
+        # counts than keys
+        keys = [(1,), (2,)]
+        for counts in ([3], iter([3]), np.array([3]), [3, 1, 2]):
+            with pytest.raises(ValueError, match="zip"):
+                keyed_normals(keys, counts)
