@@ -24,6 +24,7 @@ from .sampler import (
 )
 from .plane import (
     Located,
+    _check_points,
     LoopPoint,
     Order,
     compare,
@@ -145,7 +146,7 @@ class LoopCloud:
     def __init__(self, sample: IcrtSample, l: float, points):
         self.sample = sample
         self.level = float(l)
-        self.points = np.array(points, dtype=float)  # (n, 2), copied
+        self.points = _check_points(sample, points, l)  # (n, 2), copied
         sk = sample.skeleton
         self.theta0_sq = sample.measure.theta0_sq
         # the points as given, unsnapped; root-first profiles keep the atom

@@ -13,11 +13,17 @@ refinement never changes previously returned values.  Query batches are
 processed in sorted order, which makes the realization a function of the
 query sets, not of their order.  Queries on one realization must be
 externally serialized; distinct realizations are independent.
+
+Every batch takes one route: a plan, which depends on the sample and the
+query alone and is kept on the sample for a repeated query, then a fill
+that refines paths holding values by `insert` and fills fresh ones in
+array passes, with the values the scalar insertions give.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -37,10 +43,7 @@ from .util import fmt17, keyed_generator, keyed_normals
 _TREE_TAG = 101
 _BRIDGE_TAG = 102
 _GENERAL_TAG = 103
-# `fennec_values` of fewer points walks each root path in Python; from
-# about this many on, one `profiles` pass costs less (timed on fresh
-# realizations of Brownian and power-law samples of 8 to 1,000 branches)
-_PROFILE_BATCH = 32
+_PLANS = 8  # plans kept per sample, the oldest dropped first
 
 
 class FieldError(ValueError):
@@ -53,14 +56,18 @@ class _LazyGaussianPath:
 
     __slots__ = ("pos", "val", "key", "drawn", "_rng")
 
-    def __init__(self, key, base: float, pinned_end: tuple | None = None):
+    def __init__(self, key, base: float):
         self.pos = [0.0]
         self.val = [base]
-        if pinned_end is not None:
-            self.pos.append(float(pinned_end[0]))
-            self.val.append(float(pinned_end[1]))
         self.key = key
         self.drawn, self._rng = 0, None
+
+    @classmethod
+    def bridge(cls, key) -> _LazyGaussianPath:
+        """A Brownian bridge on [0, 1], pinned to 0.0 at both ends."""
+        path = cls(key, 0.0)
+        path.pos, path.val = [0.0, 1.0], [0.0, 0.0]
+        return path
 
     def _gen(self) -> np.random.Generator:
         if self._rng is None:
@@ -114,6 +121,135 @@ def _runs(ii) -> tuple:
     return start, np.append(start[1:], ii.size) - start
 
 
+# A plan depends on the sample and the query alone.  Each part holds the
+# distinct pairs (path, position) of the query by path, then position (the
+# positions `pos`, `posl` as a list), in runs of one path: rows (path,
+# first pair, count) of `runs`; `fills` keeps the array layouts of its
+# last fills, by their set of fresh runs.
+# In the tree part a path is a branch, a run's fourth column is the pair
+# it is based at and `take` is each query's pair (-1, reading 0.0, at the
+# root).  In the bridge part a path is an atom's bridge; the profile's
+# entries (`pad` marks them) read pairs `which`, times `wsq` (the square
+# root of each atom's weight), into a table of terms, a row per point.
+_TreePlan = namedtuple("_TreePlan", "pos posl runs fills take")
+_BridgePlan = namedtuple("_BridgePlan", "pos posl runs fills pad which wsq")
+
+
+def _tree_plan(sk, ps, br) -> _TreePlan:
+    """The tree part of real-line positions ps on branches br (any order):
+    the branches on their root paths are marked in one pass over `parent`,
+    and the glue points off the root on their edges join the queries, all
+    deduplicated by one lexsort."""
+    ps = np.clip(ps, 0.0, sk.total_length)
+    keep = ps > POINT_TOL
+    on, b = np.zeros(sk.n_branches, bool), br[keep]
+    while b.size:  # the branches on the queries' root paths
+        on[b] = True
+        b = sk.parent[b[b > 0]]
+        b = b[~on[b]]
+    c = np.flatnonzero(on[1:] & (sk.glue_pos[1:] > POINT_TOL)) + 1  # their edges
+    nq, pb = np.count_nonzero(keep), np.r_[br[keep], sk.parent[c]]
+    pb, off, inv = _distinct(pb, np.r_[ps[keep], sk.glue_pos[c]] - sk.lo[pb])
+    glued = np.full(sk.n_branches, -1)  # the pair of each edge's glue point
+    glued[c] = inv[nq:]
+    take = np.full(ps.size, -1)
+    take[keep] = inv[:nq]
+    a, n = _runs(pb)
+    return _TreePlan(off, off.tolist(), np.c_[pb[a], a, n, glued[pb[a]]], {}, take)
+
+
+def _tree_layout(runs, off, f) -> tuple:
+    """The fill of the fresh runs f of a tree part: row k of an array holds
+    run f[k], its pairs p in the columns col >= 1 of rows `row`, with the
+    deviations sds of their increments; `gens` lists the rows of each
+    generation, a run after its parent's."""
+    _, a, n, g = runs.T
+    up = np.append(np.repeat(np.arange(n.size), n), n.size)[g]  # the parent run
+    pend, gen, k = np.zeros(n.size + 1, bool), np.zeros(n.size, np.intp), 0
+    pend[f] = True
+    while pend.any():
+        r = np.flatnonzero(pend[:-1] & ~pend[up])
+        gen[r], pend[r], k = k, False, k + 1
+    row = np.repeat(np.arange(f.size), n[f])
+    col = np.arange(row.size) - np.repeat(np.cumsum(n[f]) - n[f], n[f]) + 1
+    p = a[f][row] + col - 1
+    sds = np.sqrt(off[p] - np.where(col > 1, off[p - 1], 0.0))
+    gens = np.split(np.argsort(gen[f], kind="stable"), np.cumsum(np.bincount(gen[f]))[:-1])
+    return runs[f], row, col, p, sds, gens
+
+
+def _bridge_plan(atoms, at, ang) -> _BridgePlan:
+    """The bridge part of the padded atom rows and angles of a `ProfileSet`.
+    Most entries sit at their atom's own angle: those are not sorted, but
+    read the pair of their atom, which joins the other entries'."""
+    pad = at > 0
+    j, u = at[pad], ang[pad]
+    own, slot = u == atoms.us[j], np.zeros(atoms.ix.size, np.intp)
+    slot[j[own]] = 1  # the atoms seen at their own angle
+    jo, rest = np.flatnonzero(slot), np.flatnonzero(~own)
+    # those atoms once each and the other entries, as distinct pairs
+    jj, uu, pair = _distinct(np.r_[jo, j[rest]], np.r_[atoms.us[jo], u[rest]])
+    slot[jo] = pair[: jo.size]
+    which = slot[j]  # each entry's pair
+    which[rest] = pair[jo.size :]
+    a, n = _runs(jj)
+    return _BridgePlan(uu, uu.tolist(), np.c_[atoms.ix[jj[a]], a, n], {}, pad, which,
+                       np.sqrt(atoms.ws[j]))
+
+
+def _bridge_layout(runs, uu, f) -> tuple:
+    """The fill of the fresh runs f of a bridge part, whose bridges hold
+    values at 0 and 1 only: per row (bridge, lo, hi), the pairs lo:hi
+    (`sel`, end to end), angles inside (0, 1), are inserted in turn between
+    the last one and 1, the mean weighting the last value by 1 - w, the
+    deviations sd; `ranks` lists the pairs of each insertion rank."""
+    i, a, n = runs[f].T
+    lo, hi = a + (uu[a] <= 0.0), a + n - (uu[a + n - 1] >= 1.0)
+    k = hi - lo
+    sel = np.repeat(lo - np.cumsum(k) + k, k) + np.arange(k.sum())
+    rank = sel - np.repeat(lo, k)
+    s, last = uu[sel], np.where(rank > 0, uu[sel - 1], 0.0)
+    sd = np.sqrt(np.maximum((1.0 - s) * (s - last) / (1.0 - last), 0.0))
+    ranks = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+    return np.c_[i, lo, hi], sel, (s - last) / (1.0 - last), sd, ranks
+
+
+def _fennec_plan(sample: IcrtSample, loc, prof=None) -> tuple:
+    """The plan of located points: theta0/sqrt(6), the tree part (every
+    query at the root when theta0 = 0) and the bridge part of `profiles`."""
+    theta0 = math.sqrt(sample.measure.theta0_sq)
+    prof = profiles(sample, loc) if prof is None else prof
+    pos = loc.pos if theta0 > 0 else np.zeros_like(loc.pos)
+    return (theta0 / math.sqrt(6.0), _tree_plan(sample.skeleton, pos, loc.br),
+            _bridge_plan(sample.atoms, prof.at, prof.ang))
+
+
+def _kept(store: dict, key, build):
+    """store[key], `build()` unless kept; past `_PLANS` entries the oldest
+    goes.  A race may build one twice, but keeps no wrong one."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        for old in list(store)[:-_PLANS]:
+            store.pop(old, None)
+    return value
+
+
+def _refine(paths: dict, part, vals, layout) -> tuple:
+    """The values of the runs of a plan's part whose paths hold values, by
+    `insert`, into vals; the fill of the others, laid out by `layout`."""
+    fresh, pos, runs = [], part.posl, part.runs
+    for r, (i, a, n) in enumerate(runs[:, :3].tolist() if paths else []):
+        path = paths.get(i)
+        if path is None:
+            fresh.append(r)
+        else:
+            vals[a : a + n] = [path.insert(s) for s in pos[a : a + n]]
+    key = tuple(fresh) if paths and len(fresh) < len(runs) else None  # None: all
+    f = range(len(runs)) if key is None else fresh
+    return _kept(part.fills, key, lambda: layout(runs, part.pos, np.array(f, np.intp)))
+
+
 class FieldRealization:
     """Lazily refined tree field plus per-atom bridges for one sample."""
 
@@ -126,81 +262,12 @@ class FieldRealization:
         self._bridges: dict[int, _LazyGaussianPath] = {}
 
     # ------------------------------------------------------------------
-    def _bridge(self, i: int) -> _LazyGaussianPath:
-        path = self._bridges.get(i)
-        if path is None:
-            path = _LazyGaussianPath(
-                (self.seed, _BRIDGE_TAG, i), 0.0, pinned_end=(1.0, 0.0)
-            )
-            self._bridges[i] = path
-        return path
-
     def tree_values(self, positions) -> np.ndarray:
-        """Tree-field values at real-line positions (batch, any order).  Each
-        query is a (branch, offset) pair, the root reading 0.0; the glue
-        points on their root paths join them (a marking pass over `parent`)
-        and one lexsort deduplicates all.  Held paths refine by `insert`, fresh
-        ones too below `_PROFILE_BATCH` points, else `_fill_tree` fills them."""
-        sk = self.sample.skeleton
-        ps = np.asarray(positions, dtype=float)
-        br = sk.branches_of(ps)  # rejects a point as check_point does
-        ps = np.clip(ps, 0.0, sk.total_length)
-        keep = ps > POINT_TOL
-        on, b = np.zeros(sk.n_branches, bool), br[keep]
-        while b.size:  # the branches on the queries' root paths
-            on[b] = True
-            b = sk.parent[b[b > 0]]
-            b = b[~on[b]]
-        c = np.flatnonzero(on[1:] & (sk.glue_pos[1:] > POINT_TOL)) + 1  # their edges
-        nq, pb = np.count_nonzero(keep), np.r_[br[keep], sk.parent[c]]
-        pb, off, inv = _distinct(pb, np.r_[ps[keep], sk.glue_pos[c]] - sk.lo[pb])
-        glued = np.full(sk.n_branches, -1)  # the pair of each edge's glue point
-        glued[c] = inv[nq:]
-        vals, fresh, offs = np.zeros(pb.size), [], off.tolist()
-        start, count = _runs(pb)  # a branch's offsets are off[a:a + n], by branch
-        for b, a, n in zip(pb[start].tolist(), start.tolist(), count.tolist()):
-            path, g = self._branches.get(b), glued[b]
-            if path is None:  # based at the parent's value at the glue point
-                base = float(vals[g]) if g >= 0 else 0.0  # unknown yet if fresh
-                path = _LazyGaussianPath((self.seed, _TREE_TAG, b), base)
-                self._branches[b] = path
-                if ps.size >= _PROFILE_BATCH:
-                    fresh.append((b, a, n))
-                    continue
-            vals[a : a + n] = [path.insert(s) for s in offs[a : a + n]]
-        if fresh:
-            self._fill_tree(np.array(fresh).T, off, vals, glued)
-        out = np.zeros(ps.size)
-        out[keep] = vals[inv[:nq]]
-        return out
-
-    def _fill_tree(self, fresh, off, vals, glued) -> None:
-        """`insert_batch` on fresh tree paths, bit for bit: per path its branch
-        b and its run [a, a + n) of the pairs (off, vals), offsets above
-        POINT_TOL.  Row [base, sqrt(Δs) * z, ...] of m adds in sequence under
-        `np.cumsum`; a path's row is filled once its parent's row is."""
-        sk, (b, a, n) = self.sample.skeleton, fresh
-        row = np.repeat(np.arange(b.size), n)
-        col = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n) + 1
-        p = a[row] + col - 1  # each pair of the paths
-        ds = off[p] - np.where(col > 1, off[p - 1], 0.0)
-        m = np.zeros((b.size, n.max() + 1))
-        z = keyed_normals([(self.seed, _TREE_TAG, k) for k in b.tolist()], n)
-        m[row, col] = np.sqrt(ds) * z
-        # by generations, each path based at 0.0 at the root, else at its
-        # parent's value at the glue point; a -1 reads a discarded value
-        g, pending = glued[b], np.zeros(sk.n_branches, bool)
-        pending[b] = True
-        while pending[b].any():
-            r = np.flatnonzero(pending[b] & ((g < 0) | ~pending[sk.parent[b]]))
-            m[r, 0] = np.where(g[r] >= 0, vals[g[r]], 0.0)
-            m[r] = np.cumsum(m[r], axis=1)
-            pending[b[r]] = False
-            vals[p] = m[row, col]
-        offs, vl, runs = off.tolist(), vals.tolist(), zip(a.tolist(), (a + n).tolist())
-        for k, base, (i, j) in zip(b.tolist(), m[:, 0].tolist(), runs):
-            path = self._branches[k]
-            path.pos, path.val, path.drawn = [0.0, *offs[i:j]], [base, *vl[i:j]], j - i
+        """Tree-field values at real-line positions (batch, any order)."""
+        sk, ps = self.sample.skeleton, np.asarray(positions, dtype=float)
+        key = ("tree", ps.shape, ps.tobytes())  # branches_of rejects a bad point
+        tree = _kept(self.sample._field_plans, key, lambda: _tree_plan(sk, ps, sk.branches_of(ps)))
+        return self._fill(tree)[0][tree.take]
 
     def tree_value(self, p: float) -> float:
         return float(self.tree_values([p])[0])
@@ -210,7 +277,9 @@ class FieldRealization:
         for u in angs:
             if not (0.0 <= u <= 1.0):
                 raise FieldError(f"bridge angle {u} outside [0, 1]")
-        path = self._bridge(i)
+        path = self._bridges.get(i)
+        if path is None:
+            path = self._bridges[i] = _LazyGaussianPath.bridge((self.seed, _BRIDGE_TAG, i))
         path.insert_batch(angs)
         return np.asarray([path.value(u) for u in angs])
 
@@ -220,107 +289,70 @@ class FieldRealization:
     # ------------------------------------------------------------------
     def fennec_values(self, alphas) -> np.ndarray:
         """Combined field at loop points (batch, order-independent)."""
-        if len(alphas) >= _PROFILE_BATCH:
-            loc = locate(self.sample, alphas)
-            return self._fennec_values(loc, profiles(self.sample, loc))
-        return self._fennec_walks([_check_loop_point(self.sample, a) for a in alphas])
-
-    def _tree_part(self, pos) -> np.ndarray:
-        """The tree term of the fennec, theta0/sqrt(6) times the tree field."""
-        theta0 = math.sqrt(self.sample.measure.theta0_sq)
-        g = self.tree_values(pos) if theta0 > 0 else np.zeros(len(pos))
-        return theta0 / math.sqrt(6.0) * g
-
-    def _fennec_walks(self, pts) -> np.ndarray:
-        """`fennec_values` of checked points by one `path_atom_angles` walk
-        each, every bridge refined by `insert`."""
-        per_point = [path_atom_angles(self.sample, a) for a in pts]
-        needs: dict[int, set] = {}
-        for i, u in (t for terms in per_point for t in terms):
-            needs.setdefault(i, set()).add(u)
-        for i, angs in needs.items():
-            self._bridge(i).insert_batch(angs)
-        sq, tail = np.sqrt(self.sample.measure.ws).tolist(), []
-        for terms in per_point:
-            t = 0.0
-            for i, u in terms:  # not sum(), which compensates from Python 3.12 on
-                t += sq[i] * self._bridges[i].value(u)
-            tail.append(t)
-        return self._tree_part([a.pos for a in pts]) + np.asarray(tail)
+        s, pts = self.sample, np.array(alphas, dtype=float)
+        key = ("fennec", pts.shape, pts.tobytes())
+        return self._fennec(*_kept(s._field_plans, key, lambda: _fennec_plan(s, locate(s, pts))))
 
     def _fennec_values(self, loc, prof) -> np.ndarray:
-        """`fennec_values` of located points from their `profiles`: the
-        bridge terms added one column at a time, in walk order."""
-        atoms = self.sample.atoms
-        sq, tail = np.sqrt(atoms.ws), np.zeros(loc.pos.size)  # a pad reads 0.0
-        for j, v in zip(prof.at.T, self._bridge_table(prof.at, prof.ang).T):
-            tail += sq[j] * v  # not sum(), which compensates from Python 3.12 on
-        return self._tree_part(loc.pos) + tail
+        """`fennec_values` of located points from their `profiles`; the
+        sample keeps no plan."""
+        return self._fennec(*_fennec_plan(self.sample, loc, prof))
 
-    def _bridge_table(self, at, ang) -> np.ndarray:
-        """Bridge ix[j] at angle u for each (j, u) of the padded atom rows and
-        angles of a `ProfileSet`, 0.0 at a pad: bridges that hold values
-        refine by `insert`, fresh ones are filled by `_fill_bridges`.  Most
-        entries sit at their atom's own angle: those are not sorted, but
-        read the pair of their atom, which joins the other entries'."""
-        atoms, pad = self.sample.atoms, at > 0
-        j, u = at[pad], ang[pad]
-        own, slot = u == atoms.us[j], np.zeros(atoms.ix.size, np.intp)
-        slot[j[own]] = 1  # the atoms seen at their own angle
-        jo, rest = np.flatnonzero(slot), np.flatnonzero(~own)
-        # those atoms once each and the other entries, as distinct pairs
-        jj, uu, pair = _distinct(np.r_[jo, j[rest]], np.r_[atoms.us[jo], u[rest]])
-        slot[jo], ii = pair[: jo.size], atoms.ix[jj]
-        which = slot[j]  # each entry's pair
-        which[rest] = pair[jo.size :]
-        # each atom's sorted angles are uu[a:a + n]
-        vals, fresh = np.zeros(ii.size), np.ones(ii.size, bool)  # 0.0 at 0 and 1
-        start, count = _runs(ii)
-        for i, a, n in zip(ii[start].tolist(), start.tolist(), count.tolist()):
-            if i in self._bridges:
-                vals[a : a + n] = self.bridge_values(i, uu[a : a + n])
-                fresh[a : a + n] = False
-            else:
-                self._bridge(i)
-        inner = np.flatnonzero(fresh & (uu > 0.0) & (uu < 1.0))
-        if inner.size:
-            vals[inner] = self._fill_bridges(ii[inner], uu[inner])
-        out = np.zeros(at.shape)
-        out[pad] = vals[which]
-        return out
+    def _fennec(self, scale: float, tree: _TreePlan, bridge: _BridgePlan) -> np.ndarray:
+        tv, bv = self._fill(tree, bridge)
+        terms = np.zeros((bridge.pad.shape[0], bridge.pad.shape[1] + 1))
+        terms[:, 1:][bridge.pad] = bridge.wsq * bv[bridge.which]
+        # row sums in sequence from 0.0 (column 0), not pairwise: walk order
+        return scale * tv[tree.take] + np.cumsum(terms, axis=1, out=terms)[:, -1]
 
-    def _fill_bridges(self, ii, uu) -> np.ndarray:
-        """`insert_batch` on fresh bridges, bit for bit: per bridge i its
-        angles uu (sorted, inside (0, 1)), each inserted between the last
-        one and 1, with all bridges at one insertion rank per step."""
-        first, k = _runs(ii)
-        ids = ii[first].tolist()
-        paths = [self._bridges[i] for i in ids]
-        # values stored rank by rank; in each rank the bridges keep fixed
-        # slots, most angles first, so the bridges at rank r are a prefix of
-        # those at rank r - 1
-        slot = np.empty_like(k)
-        slot[np.argsort(-k, kind="stable")] = np.arange(k.size)
-        rank = np.arange(ii.size) - np.repeat(first, k)
-        size = np.bincount(rank)
-        base = np.cumsum(size) - size
-        at = base[rank] + np.repeat(slot, k)
-        s, z, v = np.empty(ii.size), np.empty(ii.size), np.empty(ii.size)
-        s[at] = uu
-        z[at] = keyed_normals([(self.seed, _BRIDGE_TAG, i) for i in ids], k)
-        a = b = np.zeros(k.size)  # the last position and value of each bridge
-        for o, m in zip(base.tolist(), size.tolist()):
-            sr, a, b = s[o : o + m], a[:m], b[:m]
-            mean = b + (0.0 - b) * ((sr - a) / (1.0 - a))
-            var = (1.0 - sr) * (sr - a) / (1.0 - a)
-            v[o : o + m] = mean + np.sqrt(np.maximum(var, 0.0)) * z[o : o + m]
-            a, b = sr, v[o : o + m]
-        vals = v[at]
-        ul, vl = uu.tolist(), vals.tolist()
-        for path, f, m in zip(paths, first.tolist(), k.tolist()):
-            path.pos[1:1], path.val[1:1] = ul[f : f + m], vl[f : f + m]
-            path.drawn = m
-        return vals
+    def _fill(self, tree: _TreePlan, bridge: _BridgePlan | None = None) -> tuple:
+        """The values of the pairs of a plan's tree part, and a last 0.0,
+        and of its bridge part.  Paths that hold values are refined by
+        `insert`; fresh ones are filled in array passes, seeded by one
+        `keyed_normals` call."""
+        tv, bv = np.zeros(tree.pos.size + 1), None
+        tl = _refine(self._branches, tree, tv, _tree_layout)
+        draws = [(_TREE_TAG, b, n) for b, _, n, _ in tl[0].tolist()]
+        if bridge is not None:  # a fresh bridge draws its angles inside (0, 1)
+            bv = np.zeros(bridge.pos.size)
+            bl = _refine(self._bridges, bridge, bv, _bridge_layout)
+            draws += [(_BRIDGE_TAG, i, hi - lo) for i, lo, hi in bl[0].tolist() if hi > lo]
+        z = keyed_normals([(self.seed, t, i) for t, i, _ in draws], [n for *_, n in draws])
+        nt = tl[1].size  # the tree's draws, one per pair it fills, come first
+        self._fill_tree(tree, tl, tv, z[:nt])
+        if bridge is not None:
+            self._fill_bridges(bridge, bl, bv, z[nt:])
+        return tv, bv
+
+    def _fill_tree(self, tree: _TreePlan, layout, vals, z) -> None:
+        """`insert_batch` on fresh tree paths, bit for bit: row
+        [base, sqrt(Δs) * z, ...] adds in sequence under `np.cumsum`, once
+        the base is known (vals[-1] = 0.0 at the root)."""
+        runs, row, col, p, sds, gens = layout
+        m = np.zeros((len(runs), runs[:, 2].max(initial=0) + 1))
+        m[row, col] = sds * z
+        for r in gens:
+            m[r, 0] = vals[runs[r, 3]]
+            m[r] = np.cumsum(m[r], axis=1)
+            vals[p] = m[row, col]
+        offs, vl = tree.posl, vals.tolist()
+        for (b, a, n, _), base in zip(runs.tolist(), m[:, 0].tolist()):
+            path = self._branches[b] = _LazyGaussianPath((self.seed, _TREE_TAG, b), base)
+            path.pos[1:], path.val[1:], path.drawn = offs[a : a + n], vl[a : a + n], n
+
+    def _fill_bridges(self, bridge: _BridgePlan, layout, vals, z) -> None:
+        """`insert_batch` on fresh bridges, bit for bit, one insertion rank
+        at a time; pair j - 1 holds the last value of a pair j past rank 0."""
+        runs, sel, w, sd, ranks = layout
+        v, e = np.empty(z.size), sd * z
+        for r, j in enumerate(ranks):
+            b = v[j - 1] if r else np.zeros(j.size)
+            v[j] = b + (0.0 - b) * w[j] + e[j]
+        vals[sel] = v
+        ul, vl = bridge.posl, vals.tolist()
+        for i, lo, hi in runs.tolist():
+            path = self._bridges[i] = _LazyGaussianPath.bridge((self.seed, _BRIDGE_TAG, i))
+            path.pos[1:1], path.val[1:1], path.drawn = ul[lo:hi], vl[lo:hi], hi - lo
 
     def fennec_value(self, alpha) -> float:
         return float(self.fennec_values([alpha])[0])
@@ -422,9 +454,7 @@ class GeneralizedField:
         if self.spec.kind == "bridge":
             path = self._bridges.get(i)
             if path is None:
-                path = _LazyGaussianPath(
-                    (self.seed, _GENERAL_TAG, i), 0.0, pinned_end=(1.0, 0.0)
-                )
+                path = _LazyGaussianPath.bridge((self.seed, _GENERAL_TAG, i))
                 self._bridges[i] = path
             return path.insert(float(u))
         fn = self._customs.get(i)

@@ -62,18 +62,26 @@ class Located(NamedTuple):
     br: np.ndarray
 
 
-def locate(sample: IcrtSample, points, l: float | None = None) -> Located:
-    """`_check_loop_point` for a batch of points, an (n, 2) array or a list
-    of pairs, with one branch lookup; a bad point raises the scalar message.
-    The result holds copies, not views of the batch."""
+def _check_points(sample: IcrtSample, points, l: float | None = None) -> np.ndarray:
+    """A batch of loop points, an (n, 2) array or a list of pairs, copied
+    into an (n, 2) array and checked as `_check_loop_point` checks one: a
+    bad point raises the scalar message."""
     pts = np.array(points, dtype=float)
     if pts.shape[1:] != (2,) and pts.shape != (0,):
         raise PlaneError(f"loop points must be an (n, 2) batch, got shape {pts.shape}")
-    pos, ang = pts.reshape(-1, 2).T
+    pts = pts.reshape(-1, 2)
+    pos, ang = pts.T
     limit = sample.level if l is None else l
     ok = (-POINT_TOL <= pos) & (pos <= limit + POINT_TOL) & (0.0 <= ang) & (ang <= 1.0)
     if not np.all(ok):
         _check_loop_point(sample, pts[int(np.argmin(ok))], l)
+    return pts
+
+
+def locate(sample: IcrtSample, points, l: float | None = None) -> Located:
+    """`_check_loop_point` for a batch of points (`_check_points`), with one
+    branch lookup.  The result holds copies, not views of the batch."""
+    pos, ang = _check_points(sample, points, l).T
     # snap: the atom within POINT_TOL, the one below first, as in `snap`
     xs, out = sample.atoms.xs, pos  # after a sentinel at -inf
     j = np.searchsorted(xs, pos, side="left")

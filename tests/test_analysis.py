@@ -4,6 +4,7 @@ import pytest
 from icrt_lab import ThetaSpec, loop_distance
 from icrt_lab.sampler import PowerLawFamily
 from icrt_lab import analysis as an
+from icrt_lab.plane import PlaneError
 from icrt_lab.util import keyed_generator
 
 
@@ -48,6 +49,13 @@ class TestLoopCloud:
             for b in rng.integers(0, 150, 20):
                 want = loop_distance(s, cloud.points[int(a)], cloud.points[int(b)])
                 assert fast[int(b)] == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("angle", [1.5, -0.5, float("nan")])
+    def test_bad_point_raises(self, hand_sample, angle):
+        # the check and the message of locate, naming the point's angle
+        s = hand_sample
+        with pytest.raises(PlaneError, match=f"angle {angle} outside"):
+            an.LoopCloud(s, s.level, [(1.0, angle), (2.0, 0.2)])
 
 
 class TestBoxcount:

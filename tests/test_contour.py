@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import cmp_to_key
 
 import numpy as np
@@ -8,6 +10,7 @@ import icrt_lab.contour
 from icrt_lab import (
     AngleTable,
     FieldRealization,
+    IcrtSample,
     MeasureState,
     Order,
     StopRule,
@@ -26,7 +29,7 @@ from icrt_lab import (
     sample_loop_point,
     snake_eval,
 )
-from icrt_lab.fields import _BRIDGE_TAG, _PROFILE_BATCH, _TREE_TAG, _LazyGaussianPath
+from icrt_lab.fields import _BRIDGE_TAG, _PLANS, _TREE_TAG, _LazyGaussianPath
 from icrt_lab.contour import (
     ContourError,
     _eval_indices,
@@ -37,11 +40,13 @@ from icrt_lab.contour import (
 )
 from icrt_lab.loopmetric import project_loop
 from icrt_lab.plane import (
+    PlaneError,
     _check_loop_point,
     left_fractions,
     lukasiewicz_value,
     path_atom_angles,
     precedes,
+    sample_loop_points,
 )
 from icrt_lab.skeleton import POINT_TOL
 from icrt_lab.util import keyed_generator
@@ -97,7 +102,7 @@ def _fennec_by_insert(r, alphas) -> list:
         angles.setdefault(i, set()).add(u)
     for i in sorted(angles):
         key = (r.seed, _BRIDGE_TAG, i)
-        r._bridges.setdefault(i, _LazyGaussianPath(key, 0.0, pinned_end=(1.0, 0.0)))
+        r._bridges.setdefault(i, _LazyGaussianPath.bridge(key))
         r._bridges[i].insert_batch(angles[i])
     theta0 = math.sqrt(s.measure.theta0_sq)
     on = [(sk.branch_of(p.pos), p.pos) for p in pts if p.pos > POINT_TOL]
@@ -360,17 +365,83 @@ class TestProcesses:
             assert grid["snake"].tolist() == _fennec_by_insert(ref, pts)
             assert _same_paths(r, ref)
 
-    def test_walk_and_profile_routes_agree(self, mixed_table, tied_tables):
-        # fennec_values walks batches below _PROFILE_BATCH points, profiles
-        # larger ones; both on fresh paths and on paths that hold values
+    def test_every_batch_size_equals_insert(self, mixed_table, tied_tables):
+        # one route for every batch size, on fresh realizations and on one
+        # that holds the values of the batches before
+        sizes = (1, 2, 3, 31, 32, 49)
         for table in (mixed_table, *tied_tables):
-            rng = np.random.default_rng(24)
-            pts = [table.points[k] for k in rng.integers(len(table), size=80)]
-            small, big = pts[: _PROFILE_BATCH - 1], pts[_PROFILE_BATCH - 1 :]
-            r, ref = FieldRealization(table.sample, 25), FieldRealization(table.sample, 25)
-            for batch in (small, big, small[:3]):
+            s, rng = table.sample, np.random.default_rng(24)
+            pts = [table.points[k] for k in rng.integers(len(table), size=sum(sizes))]
+            cut = np.cumsum((0, *sizes)).tolist()
+            batches = [pts[a:b] for a, b in zip(cut, cut[1:])]
+            r, ref = FieldRealization(s, 25), FieldRealization(s, 25)
+            for batch in batches:
+                fresh = FieldRealization(s, 26).fennec_values(batch).tolist()
+                assert fresh == _fennec_by_insert(FieldRealization(s, 26), batch)
                 assert r.fennec_values(batch).tolist() == _fennec_by_insert(ref, batch)
             assert _same_paths(r, ref)
+
+    def test_plans_kept_on_the_sample(self, powerlaw_sample):
+        s = IcrtSample.from_json(powerlaw_sample.to_json())  # keeps no plan
+        tab = build_contour_table(s, resolution=400, rng=keyed_generator(6, 6))
+        plans = s._field_plans
+        assert not plans
+        # two point sets in turn on each realization, as snake_eval(t1),
+        # snake_eval(t2): each planned once, and each value the oracle's
+        pair = [[contour_eval(tab, t)] for t in (0.31, 0.74)]
+        for k in range(3):
+            r, ref = FieldRealization(s, 40 + k), FieldRealization(s, 40 + k)
+            for pts in pair:
+                assert r.fennec_values(pts).tolist() == _fennec_by_insert(ref, pts)
+            assert _same_paths(r, ref)
+            if not k:
+                kept = list(plans.values())
+            assert len(plans) == 2 and all(a is b for a, b in zip(plans.values(), kept))
+        # a JSON copy keeps none of them and gives the same values
+        copy = IcrtSample.from_json(s.to_json())
+        for pts in pair:
+            want = FieldRealization(s, 43).fennec_values(pts).tolist()
+            assert FieldRealization(copy, 43).fennec_values(pts).tolist() == want
+        assert len(copy._field_plans) == 2
+        # the grid keeps no plan
+        process_grid(tab, FieldRealization(s, 44), 64)
+        assert len(plans) == 2
+        # the bound: the oldest plans go first, and a dropped plan is built
+        # again; a kept plan answers no other query shape
+        more = [[contour_eval(tab, t)] for t in np.linspace(0.05, 0.95, _PLANS)]
+        for pts in more:
+            FieldRealization(s, 45).fennec_values(pts)
+        assert len(plans) == _PLANS
+        assert not any(p is q for p in plans.values() for q in kept)
+        for pts in (pair[0], more[-1]):
+            want = _fennec_by_insert(FieldRealization(s, 46), pts)
+            assert FieldRealization(s, 46).fennec_values(pts).tolist() == want
+        with pytest.raises(PlaneError, match="batch"):
+            FieldRealization(s, 47).fennec_values(np.ravel(more[-1]))
+
+    def test_plans_shared_by_threads(self, powerlaw_sample):
+        # realizations of one sample in four threads, which build and read
+        # the same kept plans and fills, switching often, give the values
+        # of a sample that keeps none
+        s = IcrtSample.from_json(powerlaw_sample.to_json())
+        rng = np.random.default_rng(27)
+        sets = [sample_loop_points(s, s.level, rng, m) for m in (1, 2, 5, 20)]
+
+        def run(sample, k):
+            r = FieldRealization(sample, k)
+            out = [r.fennec_values(p).tolist() for p in sets]  # held paths too
+            return out + [FieldRealization(sample, k).tree_values(sets[2][:, 0]).tolist()]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(run, [s] * 40, range(40), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        copy = IcrtSample.from_json(s.to_json())
+        assert got == [run(copy, k) for k in range(40)]
+        assert len(s._field_plans) == len(sets) + 1
 
     def test_snake_variance_matches_metric(self, powerlaw_sample):
         from icrt_lab import gff_distance

@@ -20,6 +20,7 @@ from icrt_lab import (
 from icrt_lab import fields
 from icrt_lab.fields import (
     _BRIDGE_TAG,
+    _TREE_TAG,
     FieldError,
     _LazyGaussianPath,
     atom_probe_points,
@@ -110,8 +111,35 @@ class TestBridges:
             FieldRealization(hand_sample, 0).bridge_value(0, 1.5)
 
 
+def _tree_by_insert(r, positions) -> list:
+    """`tree_values` of realization r by `_LazyGaussianPath.insert` alone:
+    per branch, the offsets of the queries on it and of the glue points
+    off the root on their root paths; each path r lacks is created (by
+    branch, so after its parent's), then every path refined by
+    `insert_batch`."""
+    sk, offsets = r.sample.skeleton, {}
+    for x in (x for x in positions if x > POINT_TOL):
+        for a, top, c in sk.ascend(x):
+            if c < 0 or top > POINT_TOL:
+                offsets.setdefault(a, set()).add(top - float(sk.lo[a]))
+    for b in sorted(offsets):
+        if b not in r._branches:
+            g, base = float(sk.glue_pos[b]), 0.0
+            if g > POINT_TOL:
+                pb = int(sk.parent[b])
+                base = r._branches[pb].value(g - float(sk.lo[pb]))
+            r._branches[b] = _LazyGaussianPath((r.seed, _TREE_TAG, b), base)
+        r._branches[b].insert_batch(offsets[b])
+    return [
+        r._branches[sk.branch_of(x)].value(x - float(sk.lo[sk.branch_of(x)]))
+        if x > POINT_TOL
+        else 0.0
+        for x in positions
+    ]
+
+
 class TestFreshFill:
-    def test_tree_fill_equals_insert_batch(self, powerlaw_sample, monkeypatch):
+    def test_tree_fill_equals_insert_batch(self, powerlaw_sample):
         """Fresh and held paths together, on the fixture and on a theta0 = 0
         sample (every branch glued on an atom, some on one atom), with
         points within POINT_TOL of the root and of the cuts, and at the glue
@@ -133,19 +161,9 @@ class TestFreshFill:
                 got.tree_values(held)  # paths that already hold values
                 vals = got.tree_values(big)  # fresh paths filled in one pass
                 assert any(p._rng is None and p.drawn for p in got._branches.values())
-                # each query's offset on its branch, and the glue points off
-                # the root on its root path, as offsets on the parents
-                want = {}
-                for x in (x for x in held + big if x > POINT_TOL):
-                    for a, top, c in sk.ascend(x):
-                        if c < 0 or top > POINT_TOL:
-                            want.setdefault(a, set()).add(top - float(sk.lo[a]))
-                assert {a: set(p.pos[1:]) for a, p in got._branches.items()} == want
-                with monkeypatch.context() as mp:  # every fresh path by insert_batch
-                    mp.setattr(fields, "_PROFILE_BATCH", len(big) + 1)
-                    ref = FieldRealization(s, 3)
-                    ref.tree_values(held)
-                    assert ref.tree_values(big).tolist() == vals.tolist()
+                ref = FieldRealization(s, 3)
+                _tree_by_insert(ref, held)
+                assert _tree_by_insert(ref, big) == vals.tolist()
                 assert got._branches.keys() == ref._branches.keys()
                 for b, path in got._branches.items():
                     r = ref._branches[b]
@@ -154,7 +172,7 @@ class TestFreshFill:
                         assert path.insert(x) == r.insert(x)  # the same stream on
 
     def test_bridge_fill_equals_insert_batch(self, powerlaw_sample):
-        """`_bridge_table` on a real `ProfileSet`, fresh and with bridges that
+        """The bridge fill of a real `ProfileSet`, fresh and with bridges that
         already hold values, against one `insert_batch` per bridge.  The
         points are draws, and points at the atoms the draws pass at angles
         0.0, 1.0, the atom's own and a random one; one atom no draw passes
@@ -174,16 +192,18 @@ class TestFreshFill:
         own = (prof.at > 0) & (prof.ang == atoms.us[prof.at])
         assert own.any() and (prof.at > 0)[~own].any()  # both kinds of entries
         bridges = sorted(set(ix[prof.at > 0].tolist()))
+        plan = fields._bridge_plan(atoms, prof.at, prof.ang)
+        no_tree = fields._tree_plan(s.skeleton, np.zeros(0), np.zeros(0, np.intp))
         for held in ({}, {i: rng.random(3).tolist() for i in bridges[::4]}):
             r = FieldRealization(s, 31)
             for i, angs in held.items():
                 r.bridge_values(i, angs)
-            got = r._bridge_table(prof.at, prof.ang)
-            assert np.all(got[prof.at == 0] == 0.0)
+            got = np.zeros(prof.at.shape)
+            got[prof.at > 0] = r._fill(no_tree, plan)[1][plan.which]
             assert r._bridges[int(atoms.ix[spare])].drawn == 0  # a bridge with no draw
             for i in bridges:
                 angs = prof.ang[ix == i].tolist()
-                ref = _LazyGaussianPath((31, _BRIDGE_TAG, i), 0.0, (1.0, 0.0))
+                ref = _LazyGaussianPath.bridge((31, _BRIDGE_TAG, i))
                 ref.insert_batch(held.get(i, []))
                 ref.insert_batch(angs)
                 path = r._bridges[i]
