@@ -342,7 +342,8 @@ class FieldRealization:
 
     def _fill_bridges(self, bridge: _BridgePlan, layout, vals, z) -> None:
         """`insert_batch` on fresh bridges, bit for bit, one insertion rank
-        at a time; pair j - 1 holds the last value of a pair j past rank 0."""
+        at a time; past rank 0, entry j - 1 of `sel` holds entry j's last
+        value."""
         runs, sel, w, sd, ranks = layout
         v, e = np.empty(z.size), sd * z
         for r, j in enumerate(ranks):
