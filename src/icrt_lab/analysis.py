@@ -20,7 +20,6 @@ from .sampler import (
     _draw,
     assemble_sample,
     expected_mass_prefix,
-    sample_atoms,
 )
 from .plane import (
     Located,
@@ -35,7 +34,7 @@ from .plane import (
     sample_loop_points,
 )
 from .loopmetric import loop_distance
-from .util import keyed_generator, substream
+from .util import keyed_generator
 
 
 @dataclass
@@ -99,6 +98,26 @@ def _sample_with(spec, seed, stop, corrupt=None) -> IcrtSample:
     return assemble_sample(spec, measure, cuts, glues, angles, level, seed)
 
 
+def _decade_slopes(x, y, min_span: float = 0.0) -> list:
+    """Least-squares slopes of y against x (ascending natural logs) over each
+    window of one decade from a grid point that holds at least three points
+    and spans at least `min_span` decades."""
+    span = math.log(10.0)
+    slopes = []
+    for i in range(x.size):
+        j = int(np.searchsorted(x, x[i] + span, side="right")) - 1
+        if j <= i + 1 or x[j] - x[i] < min_span * span:
+            continue
+        slopes.append(float(np.polyfit(x[i : j + 1], y[i : j + 1], 1)[0]))
+    return slopes
+
+
+def _ks_report(name: str, res, config: dict, ok=True, details=None) -> TestReport:
+    """The report of a scipy KS test `res`: passed when p > 0.01 and `ok`."""
+    return TestReport(name, bool(res.pvalue > 0.01 and ok), float(res.statistic),
+                      float(res.pvalue), config, details or {})
+
+
 # ---------------------------------------------------------------------------
 # growth exponents of the expected mass
 # ---------------------------------------------------------------------------
@@ -116,14 +135,7 @@ def theoretical_dims(spec, l_grid) -> DimensionReport:
         e = np.asarray(spec.expected_mass(grid))
     else:
         e = np.asarray(expected_mass_prefix(spec, grid))
-    x, y = np.log(grid), np.log(e)
-    span = math.log(10.0)
-    slopes = []
-    for i in range(grid.size):
-        j = int(np.searchsorted(x, x[i] + span, side="right")) - 1
-        if j <= i + 1 or x[j] - x[i] < 0.9 * span:
-            continue
-        slopes.append(float(np.polyfit(x[i : j + 1], y[i : j + 1], 1)[0]))
+    slopes = _decade_slopes(np.log(grid), np.log(e), 0.9)
     if not slopes:
         raise ValueError("grid too sparse for decade windows")
     return DimensionReport(
@@ -311,23 +323,14 @@ def reroot_test(
     for sd in _child_seeds(seed, 3, n_seeds):
         s = _sample_with(spec, sd, stop, corrupt)
         i, j = pick.choice(pair_budget + 1, size=2, replace=False)
-        yi = 0.0 if i == 0 else float(s.skeleton.cuts[i - 1])
-        yj = 0.0 if j == 0 else float(s.skeleton.cuts[j - 1])
+        yi, yj = float(s.skeleton.lo[i]), float(s.skeleton.lo[j])
         pairs.append(float(loop_distance(s, (yi, 0.0), (yj, 0.0))))
     from scipy import stats  # slow to import; only these KS tests use it
 
-    res = stats.ks_2samp(base, pairs)
-    return TestReport(
-        name="reroot-identity",
-        passed=bool(res.pvalue > 0.01),
-        statistic=float(res.statistic),
-        p_value=float(res.pvalue),
-        config={
-            "n_seeds": n_seeds,
-            "seed": seed,
-            "pair_budget": pair_budget,
-            "corrupt": corrupt,
-        },
+    return _ks_report(
+        "reroot-identity",
+        stats.ks_2samp(base, pairs),
+        {"n_seeds": n_seeds, "seed": seed, "pair_budget": pair_budget, "corrupt": corrupt},
     )
 
 
@@ -347,8 +350,7 @@ def permutation_invariance_test(
         dts, hits = [], []
         for sd in _child_seeds(seed, block, n_seeds):
             s = _sample_with(spec, sd, stop, corrupt)
-            yi = 0.0 if i == 0 else float(s.skeleton.cuts[i - 1])
-            yj = 0.0 if j == 0 else float(s.skeleton.cuts[j - 1])
+            yi, yj = float(s.skeleton.lo[i]), float(s.skeleton.lo[j])
             dij = s.skeleton.tree_distance(yi, yj)
             dts.append(dij)
             row = []
@@ -370,7 +372,6 @@ def permutation_invariance_test(
     d_b, h_b = collect(12, 1, 2)
     from scipy import stats
 
-    res = stats.ks_2samp(d_a, d_b)
     rate_ok = True
     rates = []
     for r in range(h_a.shape[1] if h_a.ndim == 2 and h_a.size else 0):
@@ -379,13 +380,12 @@ def permutation_invariance_test(
         rates.append((pa, pb, se))
         if abs(pa - pb) > 4 * se:
             rate_ok = False
-    return TestReport(
-        name="permutation-invariance",
-        passed=bool(res.pvalue > 0.01 and rate_ok),
-        statistic=float(res.statistic),
-        p_value=float(res.pvalue),
-        config={"n_seeds": n_seeds, "seed": seed, "k": k, "corrupt": corrupt},
-        details={"atom_rates": rates},
+    return _ks_report(
+        "permutation-invariance",
+        stats.ks_2samp(d_a, d_b),
+        {"n_seeds": n_seeds, "seed": seed, "k": k, "corrupt": corrupt},
+        rate_ok,
+        {"atom_rates": rates},
     )
 
 
@@ -473,18 +473,10 @@ def uniformity_test(
         vals.append(left_fraction(s, s.level, a))
     from scipy import stats
 
-    res = stats.kstest(vals, "uniform")
-    return TestReport(
-        name="left-fraction-uniformity",
-        passed=bool(res.pvalue > 0.01),
-        statistic=float(res.statistic),
-        p_value=float(res.pvalue),
-        config={
-            "n_seeds": n_seeds,
-            "seed": seed,
-            "branches": branches,
-            "corrupt": corrupt,
-        },
+    return _ks_report(
+        "left-fraction-uniformity",
+        stats.kstest(vals, "uniform"),
+        {"n_seeds": n_seeds, "seed": seed, "branches": branches, "corrupt": corrupt},
     )
 
 
@@ -499,9 +491,8 @@ def tail_exponents(
         raise ValueError("need plenty of seeds for tail estimation")
     vals = np.empty(n_seeds)
     for k, sd in enumerate(_child_seeds(seed, 41, n_seeds)):
-        measure = sample_atoms(spec, substream(sd, "atoms"))
-        y1 = measure.next_cut(0.0, substream(sd, "cuts").exponential())
-        u = substream(sd, "angles").random(measure.xs.size)
+        measure, cuts, *_, angles, _ = _draw(spec, sd, StopRule(max_branches=1))
+        y1, u = float(cuts[0]), angles.atom_angles
         on = measure.xs <= y1
         vals[k] = 0.25 * measure.theta0_sq * y1 + float(
             np.sum(measure.ws[on] * np.minimum(u[on], 1.0 - u[on]))
@@ -511,15 +502,7 @@ def tail_exponents(
     keep = tail > 0
     dropped = int(np.sum(~keep))
     x, y = np.log(eps[keep]), np.log(tail[keep])
-    span = math.log(10.0)
-    slopes = []
-    for i in range(x.size):
-        j = int(np.searchsorted(x, x[i] + span, side="right")) - 1
-        if j <= i + 1:
-            continue
-        slopes.append(float(np.polyfit(x[i : j + 1], y[i : j + 1], 1)[0]))
-    if not slopes:
-        slopes = [float(np.polyfit(x, y, 1)[0])]
+    slopes = _decade_slopes(x, y) or [float(np.polyfit(x, y, 1)[0])]
     info = {"dropped_cells": dropped, "tail": tail.tolist(), "eps": eps.tolist()}
     return min(slopes), max(slopes), info
 

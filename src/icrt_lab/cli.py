@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .sampler import (
     IcrtSample,
+    PowerLawFamily,
     SamplerError,
     StopRule,
     ThetaSpec,
@@ -58,59 +59,66 @@ def build_parser() -> _Parser:
     p = _Parser(prog="icrt-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_theta(sp):
+    def add_run(sp):
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--out", type=str, default=None)
+
+    def add_tree(sp):
         sp.add_argument("--theta0", type=float, default=None)
-        sp.add_argument("--thetas", type=str, default=None,
-                        help="JSON file with a list of atom weights")
-        sp.add_argument("--alpha", type=float, default=None,
-                        help="power-law exponent for the weight sequence")
+        weights = sp.add_mutually_exclusive_group()
+        weights.add_argument("--thetas", type=str, default=None,
+                             help="JSON file with a list of atom weights")
+        weights.add_argument("--alpha", type=float, default=None,
+                             help="power-law exponent for the weight sequence")
         sp.add_argument("--K", type=int, default=None,
                         help="number of power-law atoms")
-        sp.add_argument("--level", type=float, default=None)
-        sp.add_argument("--branches", type=int, default=None)
-        sp.add_argument("--resolution", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--svg", action="store_true")
+        stop = sp.add_mutually_exclusive_group()
+        stop.add_argument("--level", type=float, default=None)
+        stop.add_argument("--branches", type=int, default=None)
 
     sp = sub.add_parser("sample", help="draw one truncated sample as JSON")
-    add_theta(sp)
+    add_run(sp)
+    add_tree(sp)
+    # the sample file's config keeps three keys that `sample` does not take,
+    # at their old values: perfbench/reference.json pins the file's bytes
+    sp.set_defaults(jobs=1, resolution=None, svg=False)
 
     sp = sub.add_parser("process", help="contour processes as CSV (+SVG)")
-    add_theta(sp)
+    add_run(sp)
+    add_tree(sp)
     sp.add_argument("--sample", type=str, default=None,
                     help="existing sample JSON (otherwise sampled inline)")
     sp.add_argument("--grid", type=int, default=4096)
+    sp.add_argument("--resolution", type=int, default=None,
+                    help="measure draws of the contour table")
+    sp.add_argument("--svg", action="store_true")
 
     sp = sub.add_parser("dims", help="dimension report as JSON")
-    add_theta(sp)
+    add_run(sp)
+    add_tree(sp)
     sp.add_argument("--grid-decades", type=float, nargs=2, default=(0.0, 4.0))
     sp.add_argument("--grid-points", type=int, default=33)
     sp.add_argument("--cloud", type=int, default=0,
                     help="box-count cloud size (0 disables)")
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    add_theta(sp)
-    sp.add_argument(
-        "suite",
-        choices=[
-            "metric",
-            "order",
-            "field",
-            "urn",
-            "reroot",
-            "dims",
-            "concentration",
-            "all",
-        ],
-    )
+    add_run(sp)
+    sp.add_argument("suite", choices=[*_SUITES, "all"])
     sp.add_argument("--seeds", type=int, default=400,
                     help="seed budget for the statistical suites")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for the suites")
     return p
 
 
+def _given(args, names) -> list:
+    """The options among `names` set on the command line."""
+    return [f"--{n}" for n in names if getattr(args, n) is not None]
+
+
 def _theta_from_args(args) -> ThetaSpec:
+    if (args.alpha is None) != (args.K is None):
+        raise SamplerError("--K needs --alpha" if args.alpha is None else "--alpha needs --K")
     if args.thetas is not None:
         try:
             with open(args.thetas) as fh:
@@ -125,8 +133,6 @@ def _theta_from_args(args) -> ThetaSpec:
             )
         return ThetaSpec(args.theta0 or 0.0, tuple(ws))
     if args.alpha is not None:
-        if args.K is None:
-            raise SamplerError("--alpha needs --K")
         return ThetaSpec.power_law(args.alpha, args.K, args.theta0 or 0.0)
     if args.theta0 is not None:
         return ThetaSpec(args.theta0, ())
@@ -179,6 +185,9 @@ def cmd_process(args) -> int:
     if args.grid < MIN_GRID:
         raise ValueError(f"--grid must be at least {MIN_GRID}, got {args.grid}")
     if args.sample is not None:
+        tree = _given(args, ("theta0", "thetas", "alpha", "K", "level", "branches"))
+        if tree:
+            raise ValueError(f"--sample takes no {', '.join(tree)}: the file fixes the tree")
         if not os.path.exists(args.sample):
             raise SamplerError(f"missing sample file {args.sample}")
         with open(args.sample) as fh:
@@ -210,6 +219,9 @@ def cmd_dims(args) -> int:
     seed = _resolve_seed(args)
     if args.cloud < 0:
         raise ValueError(f"--cloud must be at least 0, got {args.cloud}")
+    stop = _given(args, ("level", "branches"))
+    if stop and not args.cloud:
+        raise ValueError(f"{stop[0]} needs --cloud")
     spec = _theta_from_args(args)
     d0, d1 = args.grid_decades
     grid = np.geomspace(10.0**d0, 10.0**d1, args.grid_points)
@@ -276,6 +288,16 @@ def _suite_metric(seed: int, n: int) -> list:
     return checks
 
 
+# the order of (b, a) given the order of (a, b)
+_MIRROR = {
+    Order.LEFT: Order.RIGHT,
+    Order.RIGHT: Order.LEFT,
+    Order.FRONT: Order.BEHIND,
+    Order.BEHIND: Order.FRONT,
+    Order.EQUAL: Order.EQUAL,
+}
+
+
 def _suite_order(seed: int, n: int) -> list:
     checks = []
     for name, sample in _fixture_samples(seed).items():
@@ -284,14 +306,7 @@ def _suite_order(seed: int, n: int) -> list:
         draws = sample_loop_points(sample, sample.level, rng, 3 * n)
         for a, b, c in draws.reshape(n, 3, 2):
             oab, oba = compare(sample, a, b), compare(sample, b, a)
-            pairs = {
-                Order.LEFT: Order.RIGHT,
-                Order.RIGHT: Order.LEFT,
-                Order.FRONT: Order.BEHIND,
-                Order.BEHIND: Order.FRONT,
-                Order.EQUAL: Order.EQUAL,
-            }
-            if pairs[oab] is not oba:
+            if _MIRROR[oab] is not oba:
                 bad += 1
             if (
                 oab is Order.LEFT
@@ -369,40 +384,24 @@ def _suite_reroot(seed: int, n: int) -> list:
 
 
 def _suite_dims(seed: int, n: int) -> list:
-    del n
+    del seed, n
     checks = []
-    grid = np.geomspace(1e2, 1e6, 33)
-    rep = analysis.theoretical_dims(ThetaSpec.brownian(), grid)
-    checks.append(
-        analysis.TestReport(
-            name="dims-brownian",
-            passed=bool(abs(rep.lower - 2) < 1e-3 and abs(rep.upper - 2) < 1e-3),
-            statistic=rep.upper,
-            config={"grid": "1e2..1e6"},
+    # name, spec, grid decades, the dimension and its tolerance, config
+    for name, spec, (d0, d1), dim, tol, config in (
+        ("brownian", ThetaSpec.brownian(), (2, 6), 2.0, 1e-3, {}),
+        ("cycle", ThetaSpec.single_atom(), (2, 6), 1.0, 1e-3, {}),
+        ("powerlaw", PowerLawFamily(1.5), (1.5, 5.5), 1.5, 0.05,
+         {"family": "powerlaw-1.5"}),
+    ):
+        rep = analysis.theoretical_dims(spec, np.geomspace(10.0**d0, 10.0**d1, 33))
+        checks.append(
+            analysis.TestReport(
+                name=f"dims-{name}",
+                passed=bool(abs(rep.lower - dim) <= tol and abs(rep.upper - dim) <= tol),
+                statistic=rep.upper,
+                config={"grid": f"1e{d0}..1e{d1}", **config},
+            )
         )
-    )
-    rep = analysis.theoretical_dims(ThetaSpec.single_atom(), grid)
-    checks.append(
-        analysis.TestReport(
-            name="dims-cycle",
-            passed=bool(abs(rep.lower - 1) < 1e-3 and abs(rep.upper - 1) < 1e-3),
-            statistic=rep.upper,
-            config={"grid": "1e2..1e6"},
-        )
-    )
-    from .sampler import PowerLawFamily
-
-    rep = analysis.theoretical_dims(
-        PowerLawFamily(1.5), np.geomspace(10**1.5, 10**5.5, 33)
-    )
-    checks.append(
-        analysis.TestReport(
-            name="dims-powerlaw",
-            passed=bool(abs(rep.lower - 1.5) <= 0.05 and abs(rep.upper - 1.5) <= 0.05),
-            statistic=rep.upper,
-            config={"grid": "1e1.5..1e5.5", "family": "powerlaw-1.5"},
-        )
-    )
     return checks
 
 

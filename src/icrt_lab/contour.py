@@ -60,6 +60,13 @@ class ContourTable:
         pts.flags.writeable = False
         return pts
 
+    @cached_property
+    def run_start(self) -> np.ndarray:
+        """Per row, the first row of its run of equal fractions."""
+        ts = self.ts
+        starts = np.where(np.r_[True, ts[1:] != ts[:-1]], np.arange(ts.size), 0)
+        return np.maximum.accumulate(starts)
+
 
 def build_contour_table(
     sample: IcrtSample,
@@ -135,11 +142,8 @@ def contour_eval(table: ContourTable, t: float) -> LoopPoint:
 
 
 def _eval_indices(table: ContourTable, times) -> np.ndarray:
-    ts = table.ts
-    idx = np.searchsorted(ts, np.asarray(times, dtype=float), side="right") - 1
-    # the earliest candidate of the run of equal fractions at each index
-    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-    return starts[np.searchsorted(starts, np.maximum(idx, 0), side="right") - 1]
+    idx = np.searchsorted(table.ts, np.asarray(times, dtype=float), side="right") - 1
+    return table.run_start[np.maximum(idx, 0)]
 
 
 def height_eval(table: ContourTable, t: float) -> float:

@@ -34,6 +34,7 @@ from .sampler import IcrtSample
 from .plane import (
     LoopPoint,
     _check_loop_point,
+    _kept,
     locate,
     path_atom_angles,
     profiles,
@@ -43,7 +44,6 @@ from .util import fmt17, keyed_generator, keyed_normals
 _TREE_TAG = 101
 _BRIDGE_TAG = 102
 _GENERAL_TAG = 103
-_PLANS = 8  # plans kept per sample, the oldest dropped first
 
 
 class FieldError(ValueError):
@@ -224,15 +224,17 @@ def _fennec_plan(sample: IcrtSample, loc, prof=None) -> tuple:
             _bridge_plan(sample.atoms, prof.at, prof.ang))
 
 
-def _kept(store: dict, key, build):
-    """store[key], `build()` unless kept; past `_PLANS` entries the oldest
-    goes.  A race may build one twice, but keeps no wrong one."""
-    value = store.get(key)
-    if value is None:
-        value = store[key] = build()
-        for old in list(store)[:-_PLANS]:
-            store.pop(old, None)
-    return value
+def _atom_angles(sample: IcrtSample, i: int, angles) -> list:
+    """The angles as floats, once atom i is one of the sample's atoms and
+    each angle lies in [0, 1]."""
+    n = len(sample.measure.ws)
+    if not 0 <= i < n:
+        raise FieldError(f"atom index {i} outside [0, {n})")
+    angs = [float(u) for u in angles]
+    for u in angs:
+        if not (0.0 <= u <= 1.0):
+            raise FieldError(f"angle {u} of atom {i} outside [0, 1]")
+    return angs
 
 
 def _refine(paths: dict, part, vals, layout) -> tuple:
@@ -273,10 +275,7 @@ class FieldRealization:
         return float(self.tree_values([p])[0])
 
     def bridge_values(self, i: int, angles) -> np.ndarray:
-        angs = [float(u) for u in angles]
-        for u in angs:
-            if not (0.0 <= u <= 1.0):
-                raise FieldError(f"bridge angle {u} outside [0, 1]")
+        angs = _atom_angles(self.sample, i, angles)
         path = self._bridges.get(i)
         if path is None:
             path = self._bridges[i] = _LazyGaussianPath.bridge((self.seed, _BRIDGE_TAG, i))
@@ -450,6 +449,7 @@ class GeneralizedField:
         self._customs: dict[int, Callable] = {}
 
     def d_value(self, i: int, u: float) -> float:
+        (u,) = _atom_angles(self.sample, i, [u])
         if u == 0.0:
             return 0.0
         if self.spec.kind == "bridge":
@@ -457,7 +457,7 @@ class GeneralizedField:
             if path is None:
                 path = _LazyGaussianPath.bridge((self.seed, _GENERAL_TAG, i))
                 self._bridges[i] = path
-            return path.insert(float(u))
+            return path.insert(u)
         fn = self._customs.get(i)
         if fn is None:
             fn = self.spec.factory(keyed_generator(self.seed, _GENERAL_TAG, i))

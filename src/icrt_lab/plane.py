@@ -4,7 +4,7 @@ Loop points are pairs (tree position, angle).  This module answers angle
 queries, the total contour order (left-of / in-front-of comparison at the
 meet point), and computes the left/front/right mass functionals exactly by
 decomposing the root path, with per-level subtree aggregates cached on the
-sample.  A batch of loop points is an (n, 2) array (positions, angles),
+sample for its last eight levels.  A batch of loop points is an (n, 2) array (positions, angles),
 located once (`locate`): `left_fractions` batches the mass walk and
 `compare_many` the order.  Root-path atom walks read the sample's atom
 table and the per-edge rows of `PathAtoms`; `profiles` climbs a batch's
@@ -547,13 +547,24 @@ class MassCache:
         return out
 
 
+_PLANS = 8  # entries kept per store of a sample, the oldest dropped first
+
+
+def _kept(store: dict, key, build):
+    """store[key], `build()` unless kept; past `_PLANS` entries the oldest
+    goes.  A race may build one twice, but keeps no wrong one."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        for old in list(store)[:-_PLANS]:
+            store.pop(old, None)
+    return value
+
+
 def mass_cache(sample: IcrtSample, l: float) -> MassCache:
+    """The sample's `MassCache` at level l, kept as `_kept` keeps it."""
     key = float(l)
-    cache = sample._mass_caches.get(key)
-    if cache is None:
-        cache = MassCache(sample, key)
-        sample._mass_caches[key] = cache
-    return cache
+    return _kept(sample._mass_caches, key, lambda: MassCache(sample, key))
 
 
 # ---------------------------------------------------------------------------

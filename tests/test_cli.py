@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -415,6 +416,103 @@ class TestVerify:
         par2 = run(base + ["--jobs", "2"], tmp_path, "p2.json")[1]
         assert par1.read_bytes() == par2.read_bytes()
         assert json.loads(par1.read_text())["reports"] == serial["reports"]
+
+
+class TestOptions:
+    # each command's options by dest, -h left out: 35 in all
+    TREE = {"theta0", "thetas", "alpha", "K", "level", "branches"}
+    OPTIONS = {
+        "sample": {"seed", "out"} | TREE,
+        "process": {"seed", "out", "sample", "grid", "resolution", "svg"} | TREE,
+        "dims": {"seed", "out", "grid_decades", "grid_points", "cloud"} | TREE,
+        "verify": {"seed", "out", "seeds", "jobs"},
+    }
+    # a valid command line of each command
+    BASE = {
+        "sample": ["sample", "--theta0", "1", "--level", "2"],
+        "process": ["process", "--theta0", "1", "--level", "2"],
+        "dims": ["dims", "--theta0", "1"],
+        "verify": ["verify", "dims", "--seeds", "3"],
+    }
+
+    def test_option_sets(self):
+        sub = next(
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        got = {
+            name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+            for name, sp in sub.choices.items()
+        }
+        assert got == self.OPTIONS
+        assert sum(map(len, got.values())) == 35
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("sample", ["--resolution", "100"]),
+            ("sample", ["--jobs", "2"]),
+            ("sample", ["--svg"]),
+            ("process", ["--jobs", "2"]),
+            ("dims", ["--resolution", "100"]),
+            ("dims", ["--jobs", "2"]),
+            ("dims", ["--svg"]),
+            ("verify", ["--theta0", "0.3"]),
+            ("verify", ["--thetas", "w.json"]),
+            ("verify", ["--alpha", "1.5"]),
+            ("verify", ["--K", "200"]),
+            ("verify", ["--level", "2"]),
+            ("verify", ["--branches", "5"]),
+            ("verify", ["--resolution", "100"]),
+            ("verify", ["--svg"]),
+        ],
+    )
+    def test_option_of_another_command_rejected(self, tmp_path, capsys, command, extra):
+        code, out = run(self.BASE[command] + extra, tmp_path, "o.json")
+        assert code == 1
+        assert extra[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sample", "--theta0", "1", "--level", "3", "--branches", "50"],
+             ["--level", "--branches"]),
+            (["sample", "--thetas", "w.json", "--alpha", "1.5", "--K", "200",
+              "--level", "3"], ["--thetas", "--alpha"]),
+            (["sample", "--theta0", "1", "--K", "200", "--level", "3"], ["--K", "--alpha"]),
+            (["process", "--sample", "s.json", "--theta0", "0.2", "--level", "99"],
+             ["--sample", "--theta0", "--level"]),
+            (["dims", "--theta0", "1", "--level", "64"], ["--level", "--cloud"]),
+        ],
+    )
+    def test_dropped_combination_rejected(self, tmp_path, capsys, argv, named):
+        (tmp_path / "w.json").write_text("[0.5]")
+        run(["sample", "--theta0", "1", "--level", "2"], tmp_path, "s.json")
+        capsys.readouterr()
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        code, out = run(argv, tmp_path, "o.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(opt in err for opt in named), err
+        assert not out.exists()
+
+    def test_sample_config_keys(self, tmp_path):
+        # the keys the pinned sample digests were taken with
+        _, out = run(self.BASE["sample"], tmp_path, "s.json")
+        config = json.loads(out.read_text())["config"]
+        assert set(config) == self.OPTIONS["sample"] - {"out"} | {
+            "jobs", "resolution", "svg"
+        }
+        assert (config["jobs"], config["resolution"], config["svg"]) == (1, None, False)
+
+    @pytest.mark.parametrize("command", ["dims", "verify"])
+    def test_config_lists_the_options(self, tmp_path, command):
+        # the output path is left out, the verify suite is in
+        _, out = run(self.BASE[command], tmp_path, "o.json")
+        config = json.loads(out.read_text())["config"]
+        want = self.OPTIONS[command] - {"out"} | ({"suite"} if command == "verify" else set())
+        assert set(config) == want
 
 
 class TestImport:

@@ -29,7 +29,7 @@ from icrt_lab import (
     sample_loop_point,
     snake_eval,
 )
-from icrt_lab.fields import _BRIDGE_TAG, _PLANS, _TREE_TAG, _LazyGaussianPath
+from icrt_lab.fields import _BRIDGE_TAG, _TREE_TAG, _LazyGaussianPath
 from icrt_lab.contour import (
     ContourError,
     _eval_indices,
@@ -40,6 +40,7 @@ from icrt_lab.contour import (
 )
 from icrt_lab.loopmetric import project_loop
 from icrt_lab.plane import (
+    _PLANS,
     PlaneError,
     _check_loop_point,
     left_fractions,

@@ -110,6 +110,30 @@ class TestBridges:
         with pytest.raises(FieldError):
             FieldRealization(hand_sample, 0).bridge_value(0, 1.5)
 
+    @pytest.mark.parametrize(
+        "method, i, u, named",
+        [
+            ("bridge_values", 10**6, 0.5, "atom index 1000000"),
+            ("bridge_values", -1, 0.5, "atom index -1"),
+            ("bridge_values", 60, 0.5, "atom index 60"),  # the fixture's atom count
+            ("d_value", 0, 1.5, "angle 1.5"),
+            ("d_value", 0, -0.5, "angle -0.5"),
+            ("d_value", 0, math.nan, "angle nan"),
+        ],
+    )
+    def test_atom_and_angle_checked(self, powerlaw_sample, method, i, u, named):
+        """An atom index outside the sample's atoms, or an angle outside
+        [0, 1], is named, not read past the bridge or the atom list."""
+        if method == "bridge_values":
+            call = lambda: FieldRealization(powerlaw_sample, 0).bridge_values(i, [u])
+        else:
+            spec = register_field_spec(
+                FieldSpec(kind="bridge", kappa=4.0), keyed_generator(5, 5), n_audit=500
+            )
+            call = lambda: GeneralizedField(powerlaw_sample, spec, 0).d_value(i, u)
+        with pytest.raises(FieldError, match=named):
+            call()
+
 
 def _tree_by_insert(r, positions) -> list:
     """`tree_values` of realization r by `_LazyGaussianPath.insert` alone:

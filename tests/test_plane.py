@@ -24,6 +24,7 @@ from icrt_lab import (
 )
 from icrt_lab.analysis import LoopCloud
 from icrt_lab.plane import (
+    _PLANS,
     LoopPoint,
     PathAtoms,
     PlaneError,
@@ -343,6 +344,21 @@ class TestMasses:
         x1 = float(cycle_sample.measure.xs[0])
         with pytest.raises(PlaneError):
             left_fraction(cycle_sample, x1 / 2, (x1 / 4, 0.5))
+
+    def test_mass_caches_bounded(self):
+        """20 levels on one sample keep `_PLANS` caches, and every left
+        fraction, before and after the oldest caches go, is a fresh
+        sample's bit for bit."""
+        def fresh():
+            spec = ThetaSpec.power_law(1.5, 60, theta0=0.4)
+            return sample_icrt(spec, 6, StopRule(max_level=6.0))
+
+        s, levels = fresh(), np.linspace(0.5, 6.0, 20).tolist()
+        pts = sample_loop_points(s, levels[0], keyed_generator(0, 1), 5)
+        got = [[left_fraction(s, l, a) for a in pts] for l in levels]
+        assert len(s._mass_caches) == _PLANS
+        assert [[left_fraction(s, l, a) for a in pts] for l in levels] == got
+        assert got == [[left_fraction(fresh(), l, a) for a in pts] for l in levels]
 
 
 def _near_points(sample, l):
